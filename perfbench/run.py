@@ -1,4 +1,4 @@
-"""Benchmark of canalis: five closed-loop, single-client workloads.
+"""Benchmark of canalis: closed-loop, single-client workloads.
 
 One run:
     python3 perfbench/run.py --workload sample --seed 1 --seconds 10 --trace 0
@@ -6,7 +6,7 @@ One run:
 prints, as its last line, one JSON object with `correct`, `attempted`,
 `failed` and `metrics`: the end-to-end metrics of BENCHMARK.json with
 --trace 0, its per-layer metrics with --trace 1. Steadiness mode,
-    python3 perfbench/run.py --steadiness --runs 10 [--workloads sample,cli]
+    python3 perfbench/run.py --steadiness --runs 10 [--workloads wide]
 runs two sets of runs of every workload and prints, per end-to-end
 metric, both medians, both quartile ranges and the metric's bound.
 
@@ -57,7 +57,6 @@ def _install_wrappers(tracer) -> None:
         (generator, "sample_category"),
         (generator, "classify"),
         (generator, "category_weights"),
-        (generator, "prob_breakdown"),
         (probability, "prob_breakdown"),
         (probability, "decimal_string"),
         (exact_counts, "count_exact_k"),
@@ -72,16 +71,18 @@ def _comparable(out):
 
 
 def measure(wl, seconds: float, between=None) -> dict:
-    """Replay the workload's round until ``seconds`` of timed work and its
-    minimum round count are both reached. Only the operations are timed.
-    The first round's outputs are checked; every later round must give the
-    same outputs, since it runs the same operations on the same inputs.
+    """Replay the workload's round until one round ends with at least
+    ``seconds`` of timed work. Only the operations are timed, each on the
+    workload's clock. The first round's outputs are checked; every later
+    round must give the same outputs, since it runs the same operations on
+    the same inputs.
     ``between(share)`` runs after each round with the share of the timed
     phase done so far."""
-    walls, rounds_ns, errors = [], [], []
+    walls, errors = [], []
     attempted = failed = 0
-    first = None
-    while len(walls) < wl.min_rounds or sum(walls) < seconds * 1e9:
+    first = fastest = None
+    clock = wl.clock
+    while not walls or sum(walls) < seconds * 1e9:
         ops = wl.round()
         results, times = [], []
         # as timeit does: no cyclic collection inside the timed ops, one
@@ -92,19 +93,22 @@ def measure(wl, seconds: float, between=None) -> dict:
         start = time.perf_counter_ns()
         try:
             for op in ops:
-                t0 = time.perf_counter_ns()
+                t0 = clock()
                 try:
                     out = op()
                 except wl.failure as exc:
                     out = exc
-                times.append(time.perf_counter_ns() - t0)
+                times.append(clock() - t0)
                 results.append(out)
         finally:
             gc.enable()
         walls.append(time.perf_counter_ns() - start)
         attempted += len(ops)
         failed += sum(isinstance(out, Exception) for out in results)
-        rounds_ns.append(times)
+        # Each operation's fastest repeat: this machine's speed wanders by
+        # tens of percent from one second to the next, and a repeat can
+        # only be slowed by that, never sped up.
+        fastest = times if fastest is None else list(map(min, fastest, times))
         seen = [_comparable(out) for out in results]
         if first is None:
             first = seen
@@ -113,22 +117,12 @@ def measure(wl, seconds: float, between=None) -> dict:
             errors.append(f"round {len(walls)} gave other outputs than round 1")
         if between:
             between(sum(walls) / (seconds * 1e9))
-    # Each operation's fastest repeat: this machine's speed wanders by tens
-    # of percent from one second to the next, and a repeat can only be
-    # slowed by that, never sped up. Operations on the same input, within
-    # a round too, are repeats of one another.
-    keys = wl.op_keys() or range(len(rounds_ns[0]))
-    fastest = {}
-    for times in rounds_ns:
-        for key, ns in zip(keys, times):
-            fastest[key] = min(ns, fastest.get(key, ns))
-    op_min_ns = [fastest[key] for key in keys]
     return {
         "rounds": len(walls),
         "attempted": attempted,
         "failed": failed,
-        "ops_per_s": (attempted - failed) / len(walls) * 1e9 / sum(op_min_ns),
-        "op_min_ns": op_min_ns,
+        "ops_per_s": (attempted - failed) / len(walls) * 1e9 / sum(fastest),
+        "op_min_ns": fastest,
         "errors": errors,
     }
 
@@ -140,7 +134,7 @@ class SetupTimer:
     byte-code caches as users have them."""
 
     def __init__(self, wl, env):
-        self.argv = getattr(wl, "setup_argv", None) or [sys.executable, "-c", wl.setup_code]
+        self.argv = [sys.executable, "-c", wl.setup_code]
         self.env = env
         self.times = []
         self._run()
@@ -162,28 +156,26 @@ class SetupTimer:
 def end_to_end(wl, stats, setup_s: float) -> dict:
     times = stats["op_min_ns"]
     tail = statistics.quantiles(times, n=100, method="inclusive")[wl.tail_pct - 1]
-    who = resource.RUSAGE_CHILDREN if hasattr(wl, "setup_argv") else resource.RUSAGE_SELF
     return {
         "setup_s": (setup_s, "s"),
         "ops_per_s": (stats["ops_per_s"], "1/s"),
         "op_p50_ms": (statistics.median(times) / 1e6, "ms"),
         "op_tail_ms": (tail / 1e6, "ms"),
-        "peak_rss_mb": (resource.getrusage(who).ru_maxrss / 1024, "MB"),
+        "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
     }
 
 
 def run_once(args, spec) -> dict:
     _import_program()
     from tracer import Tracer
-    from workloads import HOME, WORKLOADS, _program_env
+    from workloads import LAYER_ROUNDS, WORKLOADS, _program_env
 
     if args.workload not in WORKLOADS:
         raise SystemExit(f"perfbench: --workload must be one of {', '.join(WORKLOADS)}")
     factory = WORKLOADS[args.workload]
-    env = _program_env(str(ROOT))
     if not args.trace:
         wl = factory(args.seed, None, str(ROOT))
-        setup = SetupTimer(wl, env)
+        setup = SetupTimer(wl, _program_env(str(ROOT)))
         stats = measure(wl, args.seconds, setup.catch_up)
         metrics = end_to_end(wl, stats, setup.median())
         wanted = [m["name"] for m in spec["end_to_end"]]
@@ -195,17 +187,16 @@ def run_once(args, spec) -> dict:
         metrics = wl.layer_metrics(tracer, stats)
         tracer.uninstall()
         wanted = [m["name"] for m in spec["per_layer"]]
-        # layers this workload does not exercise are measured on one round
-        # of the workload they belong to, under a tracer of their own
-        for home in sorted({HOME[m.split(".")[0]] for m in wanted if m not in metrics}):
+        # layers the workload does not exercise are measured on one round
+        # of their own, under a tracer of their own
+        missing = [m.split(".")[0] for m in wanted if m not in metrics]
+        for make in dict.fromkeys(LAYER_ROUNDS[layer] for layer in missing):
             extra = Tracer()
             _install_wrappers(extra)
-            other = WORKLOADS[home](args.seed, extra, str(ROOT))
-            other.min_rounds = 1
+            other = make(args.seed, extra, str(ROOT))
             other_stats = measure(other, 0)
             stats["errors"] += other_stats["errors"]
-            for name, value in other.layer_metrics(extra, other_stats).items():
-                metrics.setdefault(name, value)
+            metrics.update(other.layer_metrics(extra, other_stats))
             extra.uninstall()
         RESULTS.mkdir(exist_ok=True)
         tracer.write(

@@ -37,15 +37,15 @@ class CommandFailed(Exception):
     """A CLI command exited with a non-zero code."""
 
 
-def _coprime_bias(rng: random.Random, b: int, edge: float = 1 / 3) -> Fraction:
-    """a/b in lowest terms with a/b drawn from [edge, 1 - edge), or from
-    (0, 1) when no such a is coprime to b.
+def _coprime_bias(rng: random.Random, b: int) -> Fraction:
+    """a/b in lowest terms with a/b drawn from [1/3, 2/3), or from (0, 1)
+    when no such a is coprime to b.
 
     The cost of a closed-form query grows with the sizes of a^i and
     (b-a)^j, so a numerator from 1 up to about b/4 makes a query up to
     twice as cheap; keeping p away from the ends keeps each query's cost
     nearly the same whatever the seed."""
-    lo = max(1, int(b * edge))
+    lo = max(1, b // 3)
     coprime = [a for a in range(1, b) if gcd(a, b) == 1]
     return Fraction(rng.choice([a for a in coprime if lo <= a < b - lo] or coprime), b)
 
@@ -72,18 +72,18 @@ def _program_env(root: str) -> dict:
 class Workload:
     """Interface: ``round()`` returns the operations of one round as
     zero-argument callables, the same operations on the same inputs every
-    round; ``op_keys()`` names each operation's input, equal keys for
-    equal inputs; ``check(results)`` returns error strings for the first
-    round's results, with an exception object for an operation that
-    failed; ``layer_metrics(tracer, stats)`` gives the traced run's
-    numbers."""
+    round; an operation that raises ``failure`` counts as failed.
+    ``check(results)`` returns error strings for the first round's results,
+    with an exception object for an operation that failed, and reports
+    every failure other than the known ones; ``layer_metrics(tracer,
+    stats)`` gives the traced run's numbers."""
 
     failure: type[Exception]
-    tail_pct: int
-    min_rounds = 1
-
-    def op_keys(self):
-        return None  # every operation has an input of its own
+    # Operations are timed in process CPU time: the library computes
+    # without waiting on anything, and an operation of several milliseconds
+    # that other processes preempt would otherwise count their time as its
+    # own.
+    clock = staticmethod(time.process_time_ns)
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +94,8 @@ class _Stream:
     """One generator configuration with its weights and random source;
     ``reset`` restarts the source from the configured seed."""
 
-    def __init__(self, n, p, seed, budget, tracer):
-        self.config = G.GeneratorConfig(n=n, p=p, seed=seed, max_rejections=budget)
+    def __init__(self, n, p, seed, tracer):
+        self.config = G.GeneratorConfig(n=n, p=p, seed=seed)
         self.weights = G.category_weights(n, p)
         self.rng = CountingRandom(None) if tracer else None
         self.reset()
@@ -112,30 +112,21 @@ class _Stream:
 
 class Draws(Workload):
     """Draws alternating over ``biases`` at one n, each round restarting
-    every generator from its seed; with ``starve_seed``, each round also
-    runs one draw at the default budget from that fixed seed, which
-    exhausts the budget every time."""
+    every generator from its seed. No draw is expected to fail."""
 
     failure = G.RejectionLimitExceeded
 
-    def __init__(self, seed, tracer, *, n, biases, per_round, tail_pct, budget=None,
-                 starve_seed=None, law=False):
+    def __init__(self, seed, tracer, *, n, biases, per_round, tail_pct, law=False):
         rng = random.Random(seed)
-        budget = budget or G.GeneratorConfig(n=1, p=HALF).max_rejections
         self.n = n
         self.tail_pct = tail_pct
         self.per_round = per_round
-        self.streams = [_Stream(n, p, rng.getrandbits(64), budget, tracer) for p in biases]
-        self.starve = None
-        if starve_seed is not None:
-            config = G.GeneratorConfig(n=n, p=biases[0], seed=starve_seed)
-            self.starve = (config, self.streams[0].weights)
+        self.streams = [_Stream(n, p, rng.getrandbits(64), tracer) for p in biases]
         self.setup_code = (
             "import canalis\nfrom fractions import Fraction\n"
             + "".join(
                 f"canalis.CanalizingGenerator(canalis.GeneratorConfig(n={n}, "
-                f"p=Fraction({p.numerator}, {p.denominator}), seed={s.config.seed}, "
-                f"max_rejections={budget}))\n"
+                f"p=Fraction({p.numerator}, {p.denominator}), seed={s.config.seed}))\n"
                 for p, s in zip(biases, self.streams)
             )
         )
@@ -143,23 +134,17 @@ class Draws(Workload):
         self.draws = 0
         self.attempts = 0
 
-    def _starve_op(self):
-        config, weights = self.starve
-        return G.generate(config, random.Random(config.seed), weights)
-
     def round(self):
         for stream in self.streams:
             stream.reset()
-        ops = [self.streams[i % len(self.streams)].draw for i in range(self.per_round)]
-        if self.starve:
-            ops.append(self._starve_op)
-        return ops
+        return [self.streams[i % len(self.streams)].draw for i in range(self.per_round)]
 
     def check(self, results):
         errors = []
         observed = [{} for _ in self.streams]
-        for i, out in enumerate(results[: self.per_round]):
+        for i, out in enumerate(results):
             if isinstance(out, Exception):
+                errors.append(f"draw {i} failed: {out}")
                 continue
             table, rec = out
             if table.n != self.n or not ref.record_matches(
@@ -182,7 +167,6 @@ class Draws(Workload):
         draws = self.draws * stats["rounds"]
         calls = sum(s.rng.calls for s in self.streams)
         bits = sum(s.rng.bits for s in self.streams)
-        kbits = median(s.weights.total.numerator.bit_length() for s in self.streams) / 1000
         return {
             "generator.attempts_per_draw": (_mean(self.attempts, self.draws), "count"),
             "generator.bits_per_draw": (_mean(bits, draws), "bit"),
@@ -192,39 +176,22 @@ class Draws(Workload):
             "generator.weights_ms": (_mean(tracer.ms("category_weights"), tracer.calls["category_weights"]), "ms"),
             "truth_table.classify_calls_per_draw": (_mean(tracer.calls["classify"], draws), "count"),
             "truth_table.classify_us_per_call": (_mean(tracer.ms("classify") * 1e3, tracer.calls["classify"]), "us"),
-            "probability.breakdown_ms_per_query": (_mean(tracer.ms("prob_breakdown"), tracer.calls["prob_breakdown"]), "ms"),
-            "probability.numerator_kbits_per_query": (kbits, "kbit"),
         }
 
 
 def sample(seed, tracer, root):
     # the paper's default Monte Carlo case; per-draw overhead dominates.
-    # 2000 draws put about 17 draws in each of the 120 cells of the
-    # goodness-of-fit test
-    return Draws(seed, tracer, n=3, biases=[HALF], per_round=2000, tail_pct=99, law=True)
+    # 4000 draws put about 33 draws in each of the 120 cells of the
+    # goodness-of-fit test. The slowest draws are those with the most
+    # rejections; with 2000 draws, their 99th percentile moved between 10
+    # and 13 attempts from seed to seed, and op_tail_ms with it
+    return Draws(seed, tracer, n=3, biases=[HALF], per_round=4000, tail_pct=99, law=True)
 
 
 def wide(seed, tracer, root):
     # 2^(n-q) free entries filled bit by bit dominate; a dyadic and a
     # non-dyadic bias side by side
     return Draws(seed, tracer, n=14, biases=[HALF, Fraction(1, 3)], per_round=60, tail_pct=80)
-
-
-# The first draw from this seed at n = 4, p = 1/100 lands in category
-# q = 3, which expects 9999 rejections, and exhausts the default budget
-# of 10000; being seeded, it does so every time.
-STARVE_SEED = 486
-# Budget for the seed-dependent draws: 100 times the largest expected
-# rejection count (9999 at q = 3), so none of them can starve by chance.
-SKEWED_BUDGET = 10**6
-
-
-def skewed(seed, tracer, root):
-    # about 68 rejected attempts per draw; the rejection loop dominates
-    return Draws(
-        seed, tracer, n=4, biases=[Fraction(1, 100), Fraction(99, 100)], per_round=1000,
-        tail_pct=95, budget=SKEWED_BUDGET, starve_seed=STARVE_SEED, law=True,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -239,37 +206,25 @@ DENOMINATOR = {1: 2, 2: 3, 3: 4, 4: 5, 5: 7, 6: 9, 7: 12, 8: 16, 9: 25, 10: 36,
                11: 50, 12: 71, 13: 100, 14: 10, 15: 3, 16: 2}
 PROB_MAX_N = 16
 COUNT_MAX_N = 20
-# A sweep of biases near 1/2 at one n. Its queries cost the same to within
-# a few percent, so the median query lies inside the sweep and is not a
-# lone query whose rank flips with the inputs. Between 0.45 and 0.55 the
-# denominator 100 admits four biases, so each sweep query recurs about
-# five times a round and its fastest repeat rests on many runs of it.
-SWEEP_N, SWEEP_DENOMINATOR, SWEEP_PAIRS, SWEEP_EDGE = 8, 100, 10, 0.45
 DECIMAL_DIGITS = 12
 SCIENTIFIC_DIGITS = 10
 
 
 class Exact(Workload):
-    """Complement pairs of `prob --digits 12` queries for n = 1..16 plus a
-    sweep of pairs at n = 8, and a `count --table --scientific` query for
-    each n = 1..20."""
+    """Complement pairs of `prob --digits 12` queries for n = 1..16, and a
+    `count --table --scientific` query for each n = 1..20. No query is
+    expected to fail."""
 
-    failure = ArithmeticError  # nothing is expected to fail
-    tail_pct = 80  # 72 queries a round: 14 beyond the 80th percentile
+    failure = ArithmeticError
 
     def __init__(self, seed):
         rng = random.Random(seed)
         self.queries = []
-        biases = [(n, _coprime_bias(rng, DENOMINATOR[n])) for n in range(1, PROB_MAX_N + 1)]
-        biases += [
-            (SWEEP_N, _coprime_bias(rng, SWEEP_DENOMINATOR, SWEEP_EDGE)) for _ in range(SWEEP_PAIRS)
-        ]
-        for n, p in biases:
+        for n in range(1, PROB_MAX_N + 1):
+            p = _coprime_bias(rng, DENOMINATOR[n])
             self.queries += [("prob", n, p), ("prob", n, 1 - p)]
         self.queries += [("count", n, None) for n in range(1, COUNT_MAX_N + 1)]
         self.census = {n: ref.Census(n) for n in range(1, ref.CENSUS_MAX_N + 1)}
-        self.census_probs = {}
-        self.setup_code = "import canalis\n"
         self.kbits = []
         self.prob_queries = 0
 
@@ -291,14 +246,12 @@ class Exact(Workload):
             for kind, n, p in self.queries
         ]
 
-    def op_keys(self):
-        return self.queries
-
     def check(self, results):
         errors = []
         by_input = {}
         for (kind, n, p), out in zip(self.queries, results):
             if isinstance(out, Exception):
+                errors.append(f"{kind} n={n} p={p} failed: {out}")
                 continue
             by_input[kind, n, p] = out
             errors += self._check_prob(n, p, *out) if kind == "prob" else self._check_count(n, *out)
@@ -327,13 +280,11 @@ class Exact(Workload):
                 errors.append(f"prob n={n} p={p}: {text} is not correctly rounded")
                 break
         if n in self.census:
-            if (n, p) not in self.census_probs:
-                census = self.census[n]
-                expected = [census.prob(p), census.prob(p, "both")]
-                expected += [census.prob(p, ("pos", k)) for k in range(1, n + 1)]
-                expected += [census.prob(p, ("neg", k)) for k in range(1, n + 1)]
-                self.census_probs[n, p] = expected
-            if values != self.census_probs[n, p]:
+            census = self.census[n]
+            expected = [census.prob(p), census.prob(p, "both")]
+            expected += [census.prob(p, ("pos", k)) for k in range(1, n + 1)]
+            expected += [census.prob(p, ("neg", k)) for k in range(1, n + 1)]
+            if values != expected:
                 errors.append(f"prob n={n} p={p}: class probabilities differ from the census")
         return errors
 
@@ -397,17 +348,17 @@ KNOWN_FAILURES = (("count", "--n", "16"), ("prob", "--n", "14", "--p", "1/3", "-
 
 class Cli(Workload):
     """A fixed script of 30 commands, each a fresh `python -m canalis`:
-    two passes over the command mix, each with its own inputs."""
+    two passes over the command mix, each with its own inputs. Only the
+    commands in KNOWN_FAILURES are expected to fail."""
 
     failure = CommandFailed
-    tail_pct = 66  # 30 commands a round: 10 beyond the 66th percentile
-    min_rounds = 2
+    # a command's time is spent in its own process
+    clock = staticmethod(time.perf_counter_ns)
 
     def __init__(self, seed, root):
         rng = random.Random(seed)
         self.env = _program_env(root)
         self.script = [args for _ in range(2) for args in self._script(rng)]
-        self.setup_argv = [sys.executable, "-m", "canalis", "--version"]
         self.stdout_bytes = 0
 
     @staticmethod
@@ -453,6 +404,8 @@ class Cli(Workload):
         errors = []
         for args, out in zip(self.script, results):
             if isinstance(out, Exception):
+                if args not in KNOWN_FAILURES:
+                    errors.append(f"{out}, not a known failure")
                 continue
             self.stdout_bytes += len(out.encode())
             try:
@@ -589,8 +542,8 @@ def cli(seed, tracer, root):
     return Cli(seed, root)
 
 
-WORKLOADS = {"sample": sample, "wide": wide, "skewed": skewed, "exact": exact, "cli": cli}
-# where each per-layer metric is measured when the traced workload does
-# not exercise that layer itself
-HOME = {"generator": "sample", "truth_table": "sample", "probability": "exact",
-        "exact_counts": "exact", "oracle": "cli", "cli": "cli"}
+WORKLOADS = {"sample": sample, "wide": wide}
+# The layers the sampler workloads do not exercise, and the workload of
+# which a traced run measures one round for each. Neither workload is in
+# WORKLOADS: their end-to-end figures are not steady enough to gate.
+LAYER_ROUNDS = {"probability": exact, "exact_counts": exact, "oracle": cli, "cli": cli}
