@@ -3,13 +3,15 @@
 Every command prints one JSON envelope {format_version, command, params,
 result} to stdout; numeric results are exact decimal or fraction strings,
 never floats. Exit codes are stable API: 0 ok, 2 usage error, 3 range
-error, 4 generator starvation, 5 verification mismatch.
+error, 4 generator starvation, 5 verification mismatch, 141 stdout closed
+by its reader (as a shell reports a writer ended by SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import secrets
 import sys
 from fractions import Fraction
@@ -50,6 +52,7 @@ EXIT_USAGE = 2
 EXIT_RANGE = 3
 EXIT_STARVED = 4
 EXIT_MISMATCH = 5
+EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE
 
 VERIFY_BIASES = (
     Fraction(1, 10),
@@ -172,18 +175,19 @@ def cmd_prob(args) -> int:
     if args.direction is not None and args.k is None:
         print("prob: --direction requires --k", file=sys.stderr)
         return EXIT_USAGE
-    result: dict = {}
+    values: dict[str, Fraction] = {}
     if args.k is None:
-        result["value"] = str(prob_canalizing(args.n, bias))
-        result["both_ways"] = str(prob_both_ways(args.n, bias))
+        values["value"] = prob_canalizing(args.n, bias)
+        values["both_ways"] = prob_both_ways(args.n, bias)
     elif args.direction is not None:
-        result["value"] = str(prob_exactly_k(args.n, args.k, bias, args.direction))
+        values["value"] = prob_exactly_k(args.n, args.k, bias, args.direction)
     else:
-        result["positive"] = str(prob_exactly_k(args.n, args.k, bias, "positive"))
-        result["negative"] = str(prob_exactly_k(args.n, args.k, bias, "negative"))
+        values["positive"] = prob_exactly_k(args.n, args.k, bias, "positive")
+        values["negative"] = prob_exactly_k(args.n, args.k, bias, "negative")
+    result = {key: str(value) for key, value in values.items()}
     if args.digits is not None:
-        for key in list(result):
-            result[f"{key}_decimal"] = decimal_string(Fraction(result[key]), args.digits)
+        for key, value in values.items():
+            result[f"{key}_decimal"] = decimal_string(value, args.digits)
     if args.format == "csv":
         _emit_csv([{"n": args.n, "p": str(bias), **result}])
         return EXIT_OK
@@ -364,7 +368,17 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        # a reader that closed stdout early shows up here, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # e.g. `| head -1`: what is still buffered goes to devnull, so the
+        # flush at interpreter exit cannot raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except RangeError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_RANGE

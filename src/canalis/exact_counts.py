@@ -25,6 +25,13 @@ __all__ = [
 ]
 
 
+def _nonnegative(total: int) -> int:
+    """A count from an alternating sum; a negative one means a wrong formula."""
+    if total < 0:
+        raise ArithmeticError("alternating sum gave a negative count")
+    return total
+
+
 def count_canalizing(n: int, *, max_n: int | None = None) -> int:
     """Number of canalizing functions of ``n`` variables.
 
@@ -36,8 +43,7 @@ def count_canalizing(n: int, *, max_n: int | None = None) -> int:
     for k in range(1, n + 1):
         term = comb(n, k) << (k + 1 + (1 << (n - k)))
         total += term if k % 2 == 1 else -term
-    assert total >= 0
-    return total
+    return _nonnegative(total)
 
 
 def count_exact_k(n: int, k: int, *, max_n: int | None = None) -> int:
@@ -59,14 +65,12 @@ def count_exact_k(n: int, k: int, *, max_n: int | None = None) -> int:
         for r in range(2, n + 1):
             term = r * comb(n, r) * ((1 << (1 << (n - r))) - 1) << (r + 1)
             total += term if r % 2 == 1 else -term
-        assert total >= 0
-        return total
+        return _nonnegative(total)
     total = 0
     for r in range(k, n + 1):
         term = comb(r, k) * comb(n, r) * ((1 << (1 << (n - r))) - 1) << (r + 1)
         total += term if (r - k) % 2 == 0 else -term
-    assert total >= 0
-    return total
+    return _nonnegative(total)
 
 
 def count_both_ways(n: int) -> int:

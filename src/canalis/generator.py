@@ -21,13 +21,21 @@ only when the drawn forcing values are the canonical all-zeros map, which
 restores the one-accepting-route-per-function property.
 
 No floating point is involved anywhere: category draws compare a lazily
-extended uniform bit expansion against exact cumulative fractions, and
-each biased fill bit is an exact integer comparison. Every random bit
-comes from ``rng.getrandbits``; with ``random.Random`` (the Mersenne
-Twister, Python's default) a fixed seed therefore reproduces the exact
-output sequence across runs and Python releases. The per-draw consumption
-order is: category bits, direction bits, then per attempt the
-variable-set rank, forcing values, and fill bits.
+extended uniform bit expansion against cumulative cut points held as
+integer numerators over one common denominator, precomputed once per
+(n, p), and each biased fill bit is an exact integer comparison of one
+``getrandbits`` word against the bias numerator (with rejection of words
+at or above its denominator). The free entries of an attempt are the
+inputs e with ``e & pinned == base`` (``pinned`` the chosen variables'
+bits, ``base`` their non-forcing values), walked in ascending order; the
+forced and filled outputs go into one character buffer that becomes the
+table integer in a single linear conversion. Every random bit comes from
+``rng.getrandbits``; with ``random.Random`` (the Mersenne Twister,
+Python's default) a fixed seed therefore reproduces the exact output
+sequence across runs and Python releases, which tests/test_generator.py
+locks with golden digests. The per-draw consumption order is: category
+bits, direction bits, then per attempt the variable-set rank, forcing
+values, and fill bits.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .limits import DEFAULT_GEN_MAX_N, check_n
 from .probability import prob_breakdown, validate_bias
@@ -87,9 +95,10 @@ class GeneratorConfig:
 @dataclass(frozen=True)
 class CategoryWeights:
     """Class weights for one (n, p) plus the precomputed cut points used
-    for sampling. ``q_cuts[j]`` is the cumulative share of categories
-    q <= j of the total; ``positive_share[k]`` is the positive direction's
-    share inside category k."""
+    for sampling, as integer numerators over one common denominator:
+    ``q_scaled`` for the categories q = 0..n (``q_cuts`` shows them as
+    fractions) and ``share_scaled[k]`` for the positive direction's share
+    inside category k."""
 
     n: int
     p: Fraction
@@ -97,8 +106,25 @@ class CategoryWeights:
     w_pce: dict[int, Fraction]
     w_nce: dict[int, Fraction]
     total: Fraction
-    q_cuts: tuple[Fraction, ...] = field(repr=False)
-    positive_share: dict[int, Fraction] = field(repr=False)
+    q_scaled: tuple[tuple[int, ...], int] = field(repr=False)
+    share_scaled: dict[int, tuple[tuple[int, ...], int]] = field(repr=False)
+
+    @property
+    def q_cuts(self) -> tuple[Fraction, ...]:
+        """``q_cuts[j]`` is the cumulative share of categories q <= j of
+        the total."""
+        numerators, denom = self.q_scaled
+        return tuple(Fraction(a, denom) for a in numerators)
+
+
+def _scaled(cuts) -> tuple[tuple[int, ...], int]:
+    """Ascending cumulative cuts (the last equal to 1) as integer
+    numerators over their least common denominator."""
+    denom = lcm(*(c.denominator for c in cuts))
+    numerators = tuple(c.numerator * (denom // c.denominator) for c in cuts)
+    if numerators[-1] != denom:
+        raise ArithmeticError("the last cumulative cut is not 1")
+    return numerators, denom
 
 
 def category_weights(n: int, p) -> CategoryWeights:
@@ -118,7 +144,6 @@ def category_weights(n: int, p) -> CategoryWeights:
         acc += both / total
         cuts.append(acc)
         shares[k] = w_pce[k] / both if both else Fraction(0)
-    assert cuts[-1] == 1
     return CategoryWeights(
         n=n,
         p=breakdown.p,
@@ -126,8 +151,8 @@ def category_weights(n: int, p) -> CategoryWeights:
         w_pce=w_pce,
         w_nce=w_nce,
         total=total,
-        q_cuts=tuple(cuts),
-        positive_share=shares,
+        q_scaled=_scaled(cuts),
+        share_scaled={k: _scaled((share, 1)) for k, share in shares.items()},
     )
 
 
@@ -146,22 +171,33 @@ class DrawRecord:
     rejections: int
 
 
-def sample_index(cuts, rng) -> int:
-    """Exact categorical draw against ascending cumulative ``cuts``
-    (the last cut must equal 1).
+def _draw_index(scaled: tuple[tuple[int, ...], int], rng) -> int:
+    """Exact categorical draw against cut points N_j / D given as
+    ``(N, D)``: ascending integer numerators, the last equal to D.
 
-    Extends a uniform bit expansion until the dyadic interval it pins down
-    lies inside a single category; empty categories (repeated cuts) are
-    never selected. Expected bit usage is O(1 + entropy of the law).
+    Extends a uniform bit expansion numer / 2^bits until the dyadic
+    interval it pins down lies inside a single category; empty categories
+    (repeated cuts) are never selected. Both tests are integer: the cuts
+    at or below the interval's low end are those N_j <= numer * D >> bits,
+    and the interval fits under N_idx iff (numer + 1) * D <= N_idx << bits.
+    Expected bit usage is O(1 + entropy of the law).
     """
+    numerators, denom = scaled
     numer, bits = 0, 0
     while True:
-        lo = Fraction(numer, 1 << bits)
-        idx = bisect_right(cuts, lo)
-        if Fraction(numer + 1, 1 << bits) <= cuts[idx]:
+        lo = numer * denom
+        idx = bisect_right(numerators, lo >> bits)
+        if lo + denom <= numerators[idx] << bits:
             return idx
         numer = (numer << 1) | rng.getrandbits(1)
         bits += 1
+
+
+def sample_index(cuts, rng) -> int:
+    """Exact categorical draw against ascending cumulative ``cuts``
+    (rationals; the last cut must equal 1). Consumes the same bits as a
+    draw against the precomputed cuts of ``CategoryWeights``."""
+    return _draw_index(_scaled(cuts), rng)
 
 
 def _uniform_below(rng, m: int) -> int:
@@ -174,11 +210,6 @@ def _uniform_below(rng, m: int) -> int:
         v = rng.getrandbits(k)
         if v < m:
             return v
-
-
-def _bernoulli(rng, numer: int, denom: int) -> bool:
-    """Exact coin with probability numer/denom."""
-    return _uniform_below(rng, denom) < numer
 
 
 def _subset_unrank(rank: int, n: int, k: int) -> tuple[int, ...]:
@@ -199,30 +230,11 @@ def _subset_unrank(rank: int, n: int, k: int) -> tuple[int, ...]:
 def sample_category(weights: CategoryWeights, rng) -> tuple[int, int | None]:
     """Draw (q, r): q = 0 for the both-ways category, else the exact
     variable count, with r the direction drawn inside category q."""
-    q = sample_index(weights.q_cuts, rng)
+    q = _draw_index(weights.q_scaled, rng)
     if q == 0:
         return 0, None
-    share = weights.positive_share[q]
-    r = 1 if sample_index((share, Fraction(1)), rng) == 0 else 0
+    r = 1 if _draw_index(weights.share_scaled[q], rng) == 0 else 0
     return q, r
-
-
-def _free_entries(n: int, subset: tuple[int, ...], values: dict[int, int]) -> list[int]:
-    """Table indices not pinned by the forcing: entries whose input has
-    x_i = 1 - values[i] for every chosen variable i."""
-    base = 0
-    for i in subset:
-        if not values[i]:
-            base |= 1 << i
-    others = [i for i in range(n) if i not in subset]
-    entries = []
-    for m in range(1 << len(others)):
-        e = base
-        for j, pos in enumerate(others):
-            if (m >> j) & 1:
-                e |= 1 << pos
-        entries.append(e)
-    return entries
 
 
 def generate(
@@ -245,9 +257,14 @@ def generate(
         table = TruthTable(n, variable_mask(n, i, s))
         return table, DrawRecord(q=0, r=None, subset=(i,), values={i: s}, rejections=0)
 
-    full = (1 << (1 << n)) - 1
+    size = 1 << n
     numer, denom = config.p.numerator, config.p.denominator
+    width = (denom - 1).bit_length()
+    getrandbits = rng.getrandbits
     n_choose_q = comb(n, q)
+    # output character of the forced entries: b"1" for the positive
+    # direction; a fill bit b is stored as the character 48 + b
+    forced = b"1" if r == 1 else b"0"
 
     rejections = 0
     while True:
@@ -257,29 +274,42 @@ def generate(
         # the exactly-n classes, where the constant breaks route symmetry)
         rank = _uniform_below(rng, n_choose_q)
         subset = _subset_unrank(rank, n, q)
-        s_bits = rng.getrandbits(q)
-        values = {i: (s_bits >> j) & 1 for j, i in enumerate(subset)}
-        canonical = s_bits == 0
+        s_bits = getrandbits(q)
 
-        free = _free_entries(n, subset, values)
-        free_bits = 0
-        for e in free:
-            free_bits |= 1 << e
-        forced = (full ^ free_bits) if r == 1 else 0
+        # free entries: inputs e whose x_i differs from the forcing value
+        # (bit j of s_bits) on every chosen variable i, i.e. e & pinned ==
+        # base; walking the submasks x of the other variables with
+        # x -> (x - rest) & rest visits them in ascending order, the order
+        # the fill bits are drawn in
+        pinned = base = 0
+        for j, i in enumerate(subset):
+            pinned |= 1 << i
+            if not (s_bits >> j) & 1:
+                base |= 1 << i
+        rest = (size - 1) ^ pinned
 
-        fill = 0
-        for e in free:
-            if _bernoulli(rng, numer, denom):
-                fill |= 1 << e
-        table = TruthTable(n, forced | fill)
+        # buf[e] is the output on input e; one exact coin per free entry
+        buf = bytearray(forced) * size
+        x = 0
+        while True:
+            v = getrandbits(width)
+            while v >= denom:
+                v = getrandbits(width)
+            buf[base | x] = 48 + (v < numer)
+            x = (x - rest) & rest
+            if not x:
+                break
+        # int(..., 2) reads the most significant digit first
+        table = TruthTable(n, int(buf[::-1], 2))
         profile = classify(table)
         if profile.is_constant:
-            ok = q == n and profile.constant_value == r and canonical
+            ok = q == n and profile.constant_value == r and s_bits == 0
         elif r == 1:
             ok = not profile.negative and profile.positive_variables() == set(subset)
         else:
             ok = not profile.positive and profile.negative_variables() == set(subset)
         if ok:
+            values = {i: (s_bits >> j) & 1 for j, i in enumerate(subset)}
             return table, DrawRecord(
                 q=q, r=r, subset=subset, values=values, rejections=rejections
             )

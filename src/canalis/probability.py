@@ -97,7 +97,8 @@ class _BiasPowers:
 
     def term(self, i: int, j: int) -> int:
         rest = self.size - i - j
-        assert rest >= 0
+        if rest < 0:
+            raise ArithmeticError(f"p^{i} (1-p)^{j} has degree above 2^n = {self.size}")
         return (
             self._pow(self._pa, self.a, i)
             * self._pow(self._pc, self.c, j)
@@ -234,7 +235,8 @@ def prob_breakdown(n: int, p, *, max_n: int | None = None) -> ProbBreakdown:
     pce_nums = {k: _exactly_num(pos, k) for k in range(1, n + 1)}
     nce_nums = {k: _exactly_num(neg, k) for k in range(1, n + 1)}
     # shared denominator makes the partition identity an integer equality
-    assert num_bc + sum(pce_nums.values()) + sum(nce_nums.values()) == num_c
+    if num_bc + sum(pce_nums.values()) + sum(nce_nums.values()) != num_c:
+        raise ArithmeticError(f"class probabilities at n={n}, p={p} do not sum to Pr[canalizing]")
     return ProbBreakdown(
         n=n,
         p=p,

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import canalis
 from canalis import RejectionLimitExceeded, classify, from_hex
 from canalis.cli import main
 
@@ -164,6 +169,25 @@ def test_generate_lines_format(capsys):
     assert len(lines) == 4
     for text in lines:
         assert classify(from_hex(2, text)).canalizing
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # 4000 n = 8 tables are 260 kB, more than a pipe holds, so the writer
+    # is still writing when the reader goes away after one line
+    env = {**os.environ, "PYTHONPATH": str(Path(canalis.__file__).parents[1])}
+    argv = [
+        sys.executable, "-m", "canalis",
+        "generate", "--n", "8", "--p", "1/2", "--count", "4000", "--seed", "1",
+        "--format", "lines",
+    ]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert len(first.strip()) == 64
+    assert err == b""
 
 
 def test_generate_records(capsys):

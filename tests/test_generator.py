@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -83,6 +84,11 @@ def test_sample_index_skips_empty_category():
         assert idx != 1
 
 
+def test_sample_index_rejects_cuts_not_ending_at_one():
+    with pytest.raises(ArithmeticError):
+        sample_index((Fraction(1, 2), Fraction(3, 4)), ScriptedBits([]))
+
+
 def test_sample_index_degenerate_no_bits():
     # single category taking all mass resolves without consuming bits
     assert sample_index((Fraction(1),), ScriptedBits([])) == 0
@@ -142,6 +148,48 @@ def test_generate_deterministic_sequence():
     first = [to_hex(t) for t, _ in CanalizingGenerator(config).draws(200)]
     second = [to_hex(t) for t, _ in CanalizingGenerator(config).draws(200)]
     assert first == second
+
+
+# (n, p, seed, draws, SHA-256 of the stream). The seed -> output mapping
+# is stable API: these digests may change only with a deliberate, recorded
+# break of the stream. The cases cover the constants at q = n (n = 1, 2),
+# both fill directions, wide fills (n = 12, 14) and a bias whose
+# denominator exceeds 2^32, so that each fill coin is a multi-word
+# getrandbits call.
+GOLDEN_STREAMS = [
+    (1, Fraction(1, 2), 1, 1000, "9464fdd4f4f041d69440cff66bbd93c857f86e2af1c0aaba0e76d8696fa4df71"),
+    (2, Fraction(1, 2), 2, 1000, "fd0c0f5b10b91b6319e2d3d4f43e900771f840e06df71a275ac18f5eb1e45997"),
+    (3, Fraction(1, 2), 3, 1000, "6739a92fc3d34ca442941476b3c35488157b2635da3a37608305c919f5fadff7"),
+    (4, Fraction(1, 3), 31337, 1000, "4a75061c2667d72bcafc166ab591ba48ffb1c26bec54f5a1dd0c51a1357125f7"),
+    (8, Fraction(1, 3), 8, 200, "4cfa6f09784681ecc1ade07d0f8698cc67576ea41f883292cd89f39490ca3812"),
+    (14, Fraction(1, 3), 14, 6, "ab332cc70f4b6e39d69c46fa8f234bcbacad1520fca97f039da342765c24ebf7"),
+    (12, Fraction(2, 3), 12, 6, "bfdebe44ef473166d1b5e5615e2b8572c394065233d1e59d2e074ba4410d47ef"),
+    (5, Fraction(6103515625, 12207031251), 5, 300, "44762333a476359426d1837aec9a70f7961e4360a8ac6f75dbb1ac6f1bfbdde8"),
+    (6, Fraction(3, 4), 6, 300, "bbbef1cd80ba50ba9f9bbb56e6e08a58d751463affc879090718fb5d00942bc3"),
+    (10, Fraction(1, 2), 10, 30, "c1e33b896ee1ab1e89e2b5971ad4f803a9fc3adafaf4f906a156f0bcf0c29420"),
+]
+
+
+def _stream_digest(n, p, seed, draws):
+    """Digest of the first draws' tables (hex: str() of an n = 14 table
+    exceeds the int digit limit) and records, then the next 64 bits of the
+    generator's rng, which pins the number of random words consumed."""
+    gen = CanalizingGenerator(GeneratorConfig(n=n, p=p, seed=seed))
+    h = hashlib.sha256()
+    for table, rec in gen.draws(draws):
+        item = (to_hex(table), rec.q, rec.r, rec.subset, sorted(rec.values.items()), rec.rejections)
+        h.update(repr(item).encode())
+    h.update(repr(gen.rng.getrandbits(64)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "n, p, seed, draws, digest",
+    GOLDEN_STREAMS,
+    ids=[f"n{n}-p{p}-seed{seed}" for n, p, seed, _, _ in GOLDEN_STREAMS],
+)
+def test_golden_stream(n, p, seed, draws, digest):
+    assert _stream_digest(n, p, seed, draws) == digest
 
 
 def test_generate_function_signature_uses_external_stream():
