@@ -36,7 +36,6 @@ from .oracle import (
     prob_from_census,
 )
 from .probability import (
-    ExactProb,
     ProbBreakdown,
     decimal_string,
     parse_bias,
@@ -78,7 +77,6 @@ __all__ = [
     "AsymptoticBounds",
     "asymptotic_bounds",
     "scientific_string",
-    "ExactProb",
     "parse_bias",
     "prob_canalizing",
     "prob_both_ways",

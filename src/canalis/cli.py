@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from . import __version__
 from .exact_counts import (
-    asymptotic_bounds,
     count_both_ways,
     count_canalizing,
     count_exact_k,

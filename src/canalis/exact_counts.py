@@ -9,7 +9,6 @@ so accumulation is signed and the nonnegative final result is asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Context, Decimal
 from math import comb
 
 from .limits import DEFAULT_COUNT_MAX_N, RangeError, check_n
@@ -94,8 +93,7 @@ class AsymptoticBounds:
     """First- and second-term partial-sum bounds around the exact count.
 
     ``s1`` equals 4n * 2^(2^(n-1)), the known upper bound on the count,
-    which the count approaches as n grows; ``aldana_bound`` is an alias
-    for it.
+    which the count approaches as n grows.
     """
 
     n: int
@@ -103,7 +101,6 @@ class AsymptoticBounds:
     s2: int
     lower: int
     upper: int
-    aldana_bound: int
 
 
 def asymptotic_bounds(n: int, *, max_n: int | None = None) -> AsymptoticBounds:
@@ -114,16 +111,45 @@ def asymptotic_bounds(n: int, *, max_n: int | None = None) -> AsymptoticBounds:
     s1 = alternating_term(n, 1)
     s2 = alternating_term(n, 2)
     base = 2 * ((-1) ** n - n)
-    return AsymptoticBounds(
-        n=n, s1=s1, s2=s2, lower=base + s1 - s2, upper=base + s1, aldana_bound=s1
-    )
+    return AsymptoticBounds(n=n, s1=s1, s2=s2, lower=base + s1 - s2, upper=base + s1)
 
 
 def scientific_string(value: int, digits: int = 10) -> str:
     """Round an exact count to scientific notation with ``digits``
-    significant digits (half-even), e.g. '4.168515213e+78'."""
+    significant digits (half-even), e.g. '4.168515213e+78'.
+
+    The digits are found in integers, in time near linear in the size of
+    ``value``: with ``e`` the number of dropped digits, the leading digits
+    are value // 10^e = (value >> e) // 5^e, and the dropped part is the
+    remainder times 2^e plus the low e bits. The divisor 5^e is 30% shorter
+    than 10^e, and the division's cost grows with it. A value of at most
+    ``digits`` digits is written out in full, as ``decimal`` does ('1.20e+2').
+    """
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
-    ctx = Context(prec=digits, rounding=ROUND_HALF_EVEN)
-    rounded = ctx.plus(Decimal(value))
-    return format(rounded, "e")
+    sign, value = ("-", -value) if value < 0 else ("", value)
+    limit = 10**digits
+    if value < limit:
+        text = str(value)
+        exponent = len(text) - 1
+    else:
+        # (b - 1) log10(2) >= (b - 1) * 30102999566 / 10^11 digits follow
+        # the first: a lower bound on the digit count, corrected upwards
+        e = max(1, (value.bit_length() - 1) * 30102999566 // 10**11 + 1 - digits)
+        while True:
+            five = 5**e
+            head, rest = divmod(value >> e, five)
+            if head < limit:
+                break
+            e += 1
+        dropped = rest << e | (value & ((1 << e) - 1))
+        half = five << (e - 1)  # 10^e / 2
+        if dropped > half or (dropped == half and head & 1):
+            head += 1
+            if head == limit:
+                head //= 10
+                e += 1
+        text = str(head)
+        exponent = e + digits - 1
+    mantissa = (text[0] + "." + text[1:]) if len(text) > 1 else text
+    return f"{sign}{mantissa}e+{exponent}"

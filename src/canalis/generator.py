@@ -23,19 +23,30 @@ restores the one-accepting-route-per-function property.
 No floating point is involved anywhere: category draws compare a lazily
 extended uniform bit expansion against cumulative cut points held as
 integer numerators over one common denominator, precomputed once per
-(n, p), and each biased fill bit is an exact integer comparison of one
-``getrandbits`` word against the bias numerator (with rejection of words
-at or above its denominator). The free entries of an attempt are the
-inputs e with ``e & pinned == base`` (``pinned`` the chosen variables'
-bits, ``base`` their non-forcing values), walked in ascending order; the
-forced and filled outputs go into one character buffer that becomes the
-table integer in a single linear conversion. Every random bit comes from
-``rng.getrandbits``; with ``random.Random`` (the Mersenne Twister,
-Python's default) a fixed seed therefore reproduces the exact output
-sequence across runs and Python releases, which tests/test_generator.py
-locks with golden digests. The per-draw consumption order is: category
-bits, direction bits, then per attempt the variable-set rank, forcing
-values, and fill bits.
+(n, p), and each biased fill bit is an exact integer comparison of a
+``width``-bit value against the bias numerator, with rejection of values
+at or above its denominator.
+
+An attempt works on its fill alone. The fill is the table g of the free
+inputs (the m = n - q variables outside the chosen set, in ascending
+order), with its coins in ascending input order. Its values are drawn in
+batches: one ``getrandbits`` call of a multiple of 32 bits gives the
+32-bit words that the missing values would take from one
+``getrandbits(width)`` call each, and a call is repeated only for the
+values rejected. With the forced outputs r, the table lands in its class
+iff no free variable canalizes in direction r, that is, no half-cube of
+g is r everywhere; two edge cases (the constants, and the lone variable
+at q = 1 canalizing both ways) are decided when g is r everywhere or
+nowhere. Only the accepted attempt becomes a table, by inserting the
+chosen variables into the index of g with mask shifts.
+
+Every random bit comes from ``rng.getrandbits``; with ``random.Random``
+(the Mersenne Twister, Python's default) a fixed seed therefore
+reproduces the exact output sequence across runs and Python releases,
+which tests/test_generator.py locks with golden digests. Any other source
+of uniform ``getrandbits`` words keeps the law exact. The per-draw
+consumption order is: category bits, direction bits, then per attempt
+the variable-set rank, forcing values, and fill words.
 """
 
 from __future__ import annotations
@@ -44,11 +55,15 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm
 
 from .limits import DEFAULT_GEN_MAX_N, check_n
 from .probability import prob_breakdown, validate_bias
-from .truth_table import TruthTable, classify, variable_mask
+# classify is not called here: perfbench's traced run wraps
+# canalis.generator.classify by name and reads its call count, which stays
+# importable until that run reads counters instead
+from .truth_table import TruthTable, classify, variable_mask  # noqa: F401
 
 __all__ = [
     "RejectionLimitExceeded",
@@ -237,6 +252,102 @@ def sample_category(weights: CategoryWeights, rng) -> tuple[int, int | None]:
     return q, r
 
 
+@lru_cache(maxsize=128)
+def _byte_coins(numer: int, denom: int) -> tuple[bytes, bytes]:
+    """``bytes.translate`` arguments that turn the top bytes of 32-bit
+    words into coins of bias numer / denom, for a denominator of at most
+    2^8: the word's value v is its top ``width`` bits, the byte maps to
+    b"1" if v < numer and to b"0" if v < denom, and is deleted otherwise."""
+    drop = 8 - (denom - 1).bit_length()
+    table = bytes(48 + ((b >> drop) < numer) for b in range(256))
+    rejected = bytes(b for b in range(256) if (b >> drop) >= denom)
+    return table, rejected
+
+
+def _fill(rng, numer: int, denom: int, count: int) -> bytes:
+    """``count`` exact coins of bias numer / denom as the characters
+    b"0" / b"1", in draw order.
+
+    Each coin is one value v of ``width`` = bit length of denom - 1 bits,
+    rejected when v >= denom, exactly as ``getrandbits(width)`` would give
+    it: CPython's Mersenne Twister builds ``getrandbits(k)`` from
+    ceil(k / 32) 32-bit words, least significant first, keeping the top
+    bits of the last word, and ``getrandbits(32 * N)`` returns N words
+    packed the same way. So the words of all the values still missing are
+    drawn in one call and the accepted coins kept; a value gives at most
+    one coin, so no word is drawn past the last coin and the stream is the
+    one a call per value consumes.
+    """
+    width = (denom - 1).bit_length()
+    span = -(-width // 32)  # words per value
+    chunks = []
+    while count:
+        data = rng.getrandbits(32 * span * count).to_bytes(4 * span * count, "little")
+        if width <= 8:
+            chunk = data[3::4].translate(*_byte_coins(numer, denom))
+        else:
+            chunk = bytes([48 + (v < numer) for v in _word_values(data, width, span) if v < denom])
+        chunks.append(chunk)
+        count -= len(chunk)
+    return b"".join(chunks)
+
+
+def _word_values(data: bytes, width: int, span: int) -> list[int]:
+    """The ``width``-bit values of little-endian words, ``span`` words
+    per value, as ``getrandbits(width)`` builds each from its words."""
+    drop = 32 * span - width
+    low = 32 * (span - 1)
+    keep = (1 << low) - 1
+    step = 4 * span
+    words = (int.from_bytes(data[at : at + step], "little") for at in range(0, len(data), step))
+    return [(v & keep) | (v >> (low + drop)) << low for v in words]
+
+
+def _accepts(g: int, r: int, m: int, q: int, s_bits: int) -> bool:
+    """Accept test of an attempt from its fill ``g`` on the m = n - q
+    free variables alone, in direction r.
+
+    With h the fill complemented when the direction is negative, a 1 in h
+    is an output equal to the forced one. The attempt lands in its class
+    iff the forced variables are the only canalizing ones and all in the
+    drawn direction: no free variable may have a half-cube of h that is
+    all ones, and at q = 1 the free side may not be all the other value
+    (that makes the lone variable canalize both ways). If h is all ones
+    the table is constant, which is kept on the one route of q = n with
+    the all-zeros forcing values.
+    """
+    full = (1 << (1 << m)) - 1
+    h = g if r == 1 else g ^ full
+    if h == full:
+        return m == 0 and s_bits == 0
+    if h == 0:
+        return q != 1
+    return not any(h & (mask := variable_mask(m, j, t)) == mask for j in range(m) for t in (0, 1))
+
+
+def _deposit(g: int, n: int, subset: tuple[int, ...], s_bits: int, r: int) -> int:
+    """The n-variable table of an attempt: the fill ``g`` on the free
+    inputs, and the drawn direction r wherever a variable in ``subset``
+    takes its forcing value (bit j of ``s_bits`` for the j-th variable).
+
+    Each chosen variable i, in ascending order, is inserted into the
+    index of ``g`` as a new bit i: the index bits k-1 .. i move up by one,
+    top first (each step moves the entries whose bit b is set up by 2^b),
+    and the whole table moves up by 2^i when the free side is x_i = 1.
+    """
+    x, k = g, n - len(subset)
+    forced = 0
+    for j, i in enumerate(subset):
+        for b in range(k - 1, i - 1, -1):
+            x = (x & variable_mask(k + 1, b, 0)) | (x & variable_mask(k + 1, b, 1)) << (1 << b)
+        s = (s_bits >> j) & 1
+        if not s:
+            x <<= 1 << i
+        forced |= variable_mask(n, i, s)
+        k += 1
+    return x | forced if r == 1 else x
+
+
 def generate(
     config: GeneratorConfig, rng, weights: CategoryWeights | None = None
 ) -> tuple[TruthTable, DrawRecord]:
@@ -257,14 +368,9 @@ def generate(
         table = TruthTable(n, variable_mask(n, i, s))
         return table, DrawRecord(q=0, r=None, subset=(i,), values={i: s}, rejections=0)
 
-    size = 1 << n
     numer, denom = config.p.numerator, config.p.denominator
-    width = (denom - 1).bit_length()
-    getrandbits = rng.getrandbits
+    m = n - q
     n_choose_q = comb(n, q)
-    # output character of the forced entries: b"1" for the positive
-    # direction; a fill bit b is stored as the character 48 + b
-    forced = b"1" if r == 1 else b"0"
 
     rejections = 0
     while True:
@@ -274,41 +380,12 @@ def generate(
         # the exactly-n classes, where the constant breaks route symmetry)
         rank = _uniform_below(rng, n_choose_q)
         subset = _subset_unrank(rank, n, q)
-        s_bits = getrandbits(q)
-
-        # free entries: inputs e whose x_i differs from the forcing value
-        # (bit j of s_bits) on every chosen variable i, i.e. e & pinned ==
-        # base; walking the submasks x of the other variables with
-        # x -> (x - rest) & rest visits them in ascending order, the order
-        # the fill bits are drawn in
-        pinned = base = 0
-        for j, i in enumerate(subset):
-            pinned |= 1 << i
-            if not (s_bits >> j) & 1:
-                base |= 1 << i
-        rest = (size - 1) ^ pinned
-
-        # buf[e] is the output on input e; one exact coin per free entry
-        buf = bytearray(forced) * size
-        x = 0
-        while True:
-            v = getrandbits(width)
-            while v >= denom:
-                v = getrandbits(width)
-            buf[base | x] = 48 + (v < numer)
-            x = (x - rest) & rest
-            if not x:
-                break
-        # int(..., 2) reads the most significant digit first
-        table = TruthTable(n, int(buf[::-1], 2))
-        profile = classify(table)
-        if profile.is_constant:
-            ok = q == n and profile.constant_value == r and s_bits == 0
-        elif r == 1:
-            ok = not profile.negative and profile.positive_variables() == set(subset)
-        else:
-            ok = not profile.positive and profile.negative_variables() == set(subset)
-        if ok:
+        s_bits = rng.getrandbits(q)
+        # bit x of g is the output on the x-th free input in ascending
+        # order; int(..., 2) reads the most significant digit first
+        g = int(_fill(rng, numer, denom, 1 << m)[::-1], 2)
+        if _accepts(g, r, m, q, s_bits):
+            table = TruthTable(n, _deposit(g, n, subset, s_bits, r))
             values = {i: (s_bits >> j) & 1 for j, i in enumerate(subset)}
             return table, DrawRecord(
                 q=q, r=r, subset=subset, values=values, rejections=rejections

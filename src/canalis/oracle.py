@@ -22,7 +22,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from .limits import RangeError
-from .probability import validate_bias
+from .probability import _direction_positive, validate_bias
 from .truth_table import TruthTable, classify, variable_mask
 
 __all__ = [
@@ -120,13 +120,7 @@ def prob_from_census(census: ClassCensus, p) -> Fraction:
 def class_prob_from_census(census: ClassCensus, k: int, direction, p) -> Fraction:
     """Exact probability of one exactly-k single-direction class."""
     p = validate_bias(p)
-    name = str(direction).strip().lower()
-    if name in ("pos", "positive"):
-        enum = census.weight_enum_pce
-    elif name in ("neg", "negative"):
-        enum = census.weight_enum_nce
-    else:
-        raise ValueError(f"direction must be 'positive' or 'negative', got {direction!r}")
+    enum = census.weight_enum_pce if _direction_positive(direction) else census.weight_enum_nce
     pairs = [(w, c) for (kk, w), c in enum.items() if kk == k]
     return _weighted_prob(pairs, census.n, p)
 

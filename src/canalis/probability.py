@@ -23,7 +23,6 @@ from math import comb
 from .limits import DEFAULT_PROB_MAX_N, RangeError, check_n
 
 __all__ = [
-    "ExactProb",
     "parse_bias",
     "validate_bias",
     "prob_canalizing",
@@ -34,8 +33,6 @@ __all__ = [
     "prob_breakdown",
     "decimal_string",
 ]
-
-ExactProb = Fraction
 
 POSITIVE_NAMES = frozenset({"pos", "positive", "+", "1"})
 NEGATIVE_NAMES = frozenset({"neg", "negative", "-", "0"})

@@ -69,3 +69,25 @@ def permute_variables(bits, n, perm):
                 y |= 1 << perm[j]
         out.append(bits[y])
     return out
+
+
+def attempt_outcome(n, q, r, subset, s_bits, g):
+    """(accepted, table) of one generator attempt, by the generator's
+    former rule: walk the inputs in ascending order, give each one where
+    some variable in ``subset`` takes its forcing value (bit j of
+    ``s_bits`` for the j-th variable) the output r and each other input
+    the next bit of the fill ``g``, then classify the whole table. A
+    constant is accepted only at q = n, in direction r, with all-zeros
+    forcing values; any other table only if it canalizes in direction r
+    alone and on exactly the variables of ``subset``."""
+    s = {i: (s_bits >> j) & 1 for j, i in enumerate(subset)}
+    fill = iter(bits_list(n - q, g))
+    bits = [
+        r if any(((e >> i) & 1) == s[i] for i in subset) else next(fill)
+        for e in range(1 << n)
+    ]
+    if all(b == bits[0] for b in bits):
+        return q == n and bits[0] == r and s_bits == 0, bits
+    positive, negative = forcing_pairs(bits, n)
+    same, other = (positive, negative) if r == 1 else (negative, positive)
+    return not other and {i for i, _ in same} == set(subset), bits

@@ -1,3 +1,4 @@
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -106,7 +107,7 @@ def test_sandwich_bounds(n):
     b = asymptotic_bounds(n)
     assert b.lower <= count_canalizing(n) <= b.upper
     assert b.s2 < b.s1
-    assert b.aldana_bound == b.s1 == 4 * n * (1 << (1 << (n - 1)))
+    assert b.s1 == 4 * n * (1 << (1 << (n - 1)))
 
 
 def test_asymptotic_bounds_requires_two_variables():
@@ -135,3 +136,36 @@ def test_scientific_string_basics():
     assert scientific_string(10**12, 4) == "1.000e+12"
     with pytest.raises(ValueError):
         scientific_string(5, 0)
+
+
+def _scientific_by_decimal(value, digits):
+    """Half-even rounding by the decimal module, whose int conversion is
+    quadratic but has no digit limit; ``value`` may already be a Decimal."""
+    return format(Context(prec=digits, rounding=ROUND_HALF_EVEN).plus(Decimal(value)), "e")
+
+
+def test_scientific_string_equals_decimal_for_every_row():
+    for n in range(1, 21):
+        for value in [count_canalizing(n)] + [count_exact_k(n, k) for k in range(1, n + 1)]:
+            exact = Decimal(value)
+            for digits in (1, 10, 25):
+                assert scientific_string(value, digits) == _scientific_by_decimal(exact, digits), (
+                    n,
+                    digits,
+                )
+
+
+def test_scientific_string_ties_carries_and_short_values():
+    values = [0, 1, 9, 10, 120, -5, -12345, 10**30, 10**30 - 1]
+    for e in (1, 2, 7, 40, 300):
+        half = 5 * 10 ** (e - 1)
+        for head in (1000, 1234, 1235, 9998, 9999):
+            values += [head * 10**e + half + d for d in (-1, 0, 1)]
+    for d in (1, 4, 10, 60):
+        values += [int("9" * d + "5"), int("9" * d + "49"), int("9" * d + "51") * 10**9]
+    for value in values:
+        for digits in (1, 3, 4, 5, 10, 70):
+            assert scientific_string(value, digits) == _scientific_by_decimal(value, digits), (
+                value,
+                digits,
+            )

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import combinations
 from collections import Counter
 from fractions import Fraction
 
@@ -17,7 +18,8 @@ from canalis import (
     sample_category,
     to_hex,
 )
-from canalis.generator import sample_index
+import naive_ref
+from canalis.generator import _accepts, _deposit, _fill, sample_index
 from sampler_checks import record_consistent
 
 HALF = Fraction(1, 2)
@@ -190,6 +192,62 @@ def _stream_digest(n, p, seed, draws):
 )
 def test_golden_stream(n, p, seed, draws, digest):
     assert _stream_digest(n, p, seed, draws) == digest
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fill_accept_and_deposit_match_classified_attempt(n):
+    # every attempt at n <= 4: the accept test on the fill alone and the
+    # deposited table equal the old walk over the inputs plus a
+    # classification of the whole table
+    for q in range(1, n + 1):
+        m = n - q
+        tables = 1 << (1 << m)
+        for subset in combinations(range(n), q):
+            for s_bits in range(1 << q):
+                for g in range(tables):
+                    for r in (0, 1):
+                        accepted, bits = naive_ref.attempt_outcome(n, q, r, subset, s_bits, g)
+                        case = (n, q, r, subset, s_bits, g)
+                        assert _accepts(g, r, m, q, s_bits) == accepted, case
+                        table = sum(b << e for e, b in enumerate(bits))
+                        assert _deposit(g, n, subset, s_bits, r) == table, case
+
+
+def _coins_one_call_per_value(rng, numer, denom, count):
+    width = (denom - 1).bit_length()
+    coins = bytearray()
+    while len(coins) < count:
+        v = rng.getrandbits(width)
+        if v < denom:
+            coins.append(48 + (v < numer))
+    return bytes(coins)
+
+
+# widths 1, 2, 8 (the byte table), 9, 32, 33, 34, 64 and 65 bits, with
+# rejection rates from none to almost one half
+FILL_BIASES = [
+    Fraction(1, 2),
+    Fraction(1, 3),
+    Fraction(2, 5),
+    Fraction(100, 129),
+    Fraction(7, 256),
+    Fraction(128, 257),
+    Fraction(333, 1000),
+    Fraction(5, 2**32),
+    Fraction(2**31, 2**32 + 1),
+    Fraction(6103515625, 12207031251),
+    Fraction(3, 2**64),
+    Fraction(2**63, 2**64 + 1),
+]
+
+
+@pytest.mark.parametrize("p", FILL_BIASES, ids=str)
+@pytest.mark.parametrize("count", [1, 3, 500])
+def test_fill_equals_one_getrandbits_call_per_value(p, count):
+    batched, single = random.Random(count), random.Random(count)
+    coins = _fill(batched, p.numerator, p.denominator, count)
+    assert coins == _coins_one_call_per_value(single, p.numerator, p.denominator, count)
+    assert batched.getstate() == single.getstate()
 
 
 def test_generate_function_signature_uses_external_stream():
