@@ -1,17 +1,19 @@
 """Closed-form counts of canalizing functions, exact at every n.
 
-All values are plain Python integers, so precision is unbounded. The
-double exponentials 2^(2^(n-k)) are built with bit shifts; floating point
-never enters. The alternating sums pass through negative partial values,
-so accumulation is signed and the nonnegative final result is asserted.
+Every count is the p = 1/2 numerator, over 2^(2^n), of the one
+inclusion-exclusion sum in ``probability``: there all functions are equally
+likely. All values are plain Python integers built with bit shifts, so
+precision is unbounded and floating point never enters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 
 from .limits import DEFAULT_COUNT_MAX_N, RangeError, check_n
+from .probability import _BiasPowers, _canalizing_num, _exactly_num
 
 __all__ = [
     "count_canalizing",
@@ -19,7 +21,6 @@ __all__ = [
     "count_both_ways",
     "AsymptoticBounds",
     "asymptotic_bounds",
-    "alternating_term",
     "scientific_string",
 ]
 
@@ -32,59 +33,40 @@ def _nonnegative(total: int) -> int:
 
 
 def count_canalizing(n: int, *, max_n: int | None = None) -> int:
-    """Number of canalizing functions of ``n`` variables.
-
-    Evaluates 2((-1)^n - n) + sum over k=1..n of
+    """Number of canalizing functions of ``n`` variables: the numerator of
+    Pr[canalizing] at p = 1/2 over 2^(2^n), which equals
+    2((-1)^n - n) + sum over k=1..n of
     (-1)^(k+1) * C(n,k) * 2^(k+1) * 2^(2^(n-k)).
     """
     check_n(n, DEFAULT_COUNT_MAX_N, explicit_cap=max_n)
-    total = 2 * ((-1) ** n - n)
-    for k in range(1, n + 1):
-        term = comb(n, k) << (k + 1 + (1 << (n - k)))
-        total += term if k % 2 == 1 else -term
-    return _nonnegative(total)
+    return _nonnegative(_canalizing_num(_BiasPowers(n, Fraction(1, 2))))
 
 
 def count_exact_k(n: int, k: int, *, max_n: int | None = None) -> int:
     """Number of functions canalizing on exactly ``k`` of ``n`` variables.
 
-    Four closed forms cover the cases, dispatched in the order
-    (k=1,n=1), (k=n>1), (k=1<n), (1<k<n). The two constant functions are
-    counted at k = n only.
+    At p = 1/2 the two directions have equal numerators, so this is twice
+    the one-direction numerator, plus the 2n projections and negations
+    (canalizing both ways, on one variable) at k = 1. The two constant
+    functions are counted at k = n.
     """
     check_n(n, DEFAULT_COUNT_MAX_N, explicit_cap=max_n)
     if not 1 <= k <= n:
         raise RangeError(f"k must satisfy 1 <= k <= n={n}, got {k}")
-    if k == 1 and n == 1:
-        return 4
-    if k == n:
-        return 2 + (1 << (n + 1))
-    if k == 1:
-        total = 2 * n * ((1 << (1 + (1 << (n - 1)))) - 3)
-        for r in range(2, n + 1):
-            term = r * comb(n, r) * ((1 << (1 << (n - r))) - 1) << (r + 1)
-            total += term if r % 2 == 1 else -term
-        return _nonnegative(total)
-    total = 0
-    for r in range(k, n + 1):
-        term = comb(r, k) * comb(n, r) * ((1 << (1 << (n - r))) - 1) << (r + 1)
-        total += term if (r - k) % 2 == 0 else -term
-    return _nonnegative(total)
+    both_ways = 2 * n if k == 1 else 0
+    return _nonnegative(2 * _exactly_num(_BiasPowers(n, Fraction(1, 2)), k) + both_ways)
 
 
 def count_both_ways(n: int) -> int:
     """Number of functions canalizing in both directions: the 2n
     projections and negations."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise RangeError(f"n must be a positive integer, got {n!r}")
+    check_n(n, DEFAULT_COUNT_MAX_N)
     return 2 * n
 
 
-def alternating_term(n: int, k: int) -> int:
+def _alternating_term(n: int, k: int) -> int:
     """Magnitude of the k-th term of the count's alternating sum:
     C(n,k) * 2^(k+1) * 2^(2^(n-k))."""
-    if not 1 <= k <= n:
-        raise RangeError(f"k must satisfy 1 <= k <= n={n}, got {k}")
     return comb(n, k) << (k + 1 + (1 << (n - k)))
 
 
@@ -108,8 +90,8 @@ def asymptotic_bounds(n: int, *, max_n: int | None = None) -> AsymptoticBounds:
     check_n(n, DEFAULT_COUNT_MAX_N, explicit_cap=max_n)
     if n < 2:
         raise RangeError(f"asymptotic bounds need n >= 2, got {n}")
-    s1 = alternating_term(n, 1)
-    s2 = alternating_term(n, 2)
+    s1 = _alternating_term(n, 1)
+    s2 = _alternating_term(n, 2)
     base = 2 * ((-1) ** n - n)
     return AsymptoticBounds(n=n, s1=s1, s2=s2, lower=base + s1 - s2, upper=base + s1)
 

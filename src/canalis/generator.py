@@ -71,7 +71,6 @@ __all__ = [
     "CategoryWeights",
     "DrawRecord",
     "category_weights",
-    "sample_index",
     "sample_category",
     "generate",
     "CanalizingGenerator",
@@ -111,8 +110,8 @@ class GeneratorConfig:
 class CategoryWeights:
     """Class weights for one (n, p) plus the precomputed cut points used
     for sampling, as integer numerators over one common denominator:
-    ``q_scaled`` for the categories q = 0..n (``q_cuts`` shows them as
-    fractions) and ``share_scaled[k]`` for the positive direction's share
+    ``q_scaled`` for the cumulative shares of the categories q = 0..n in
+    the total and ``share_scaled[k]`` for the positive direction's share
     inside category k."""
 
     n: int
@@ -123,13 +122,6 @@ class CategoryWeights:
     total: Fraction
     q_scaled: tuple[tuple[int, ...], int] = field(repr=False)
     share_scaled: dict[int, tuple[tuple[int, ...], int]] = field(repr=False)
-
-    @property
-    def q_cuts(self) -> tuple[Fraction, ...]:
-        """``q_cuts[j]`` is the cumulative share of categories q <= j of
-        the total."""
-        numerators, denom = self.q_scaled
-        return tuple(Fraction(a, denom) for a in numerators)
 
 
 def _scaled(cuts) -> tuple[tuple[int, ...], int]:
@@ -206,13 +198,6 @@ def _draw_index(scaled: tuple[tuple[int, ...], int], rng) -> int:
             return idx
         numer = (numer << 1) | rng.getrandbits(1)
         bits += 1
-
-
-def sample_index(cuts, rng) -> int:
-    """Exact categorical draw against ascending cumulative ``cuts``
-    (rationals; the last cut must equal 1). Consumes the same bits as a
-    draw against the precomputed cuts of ``CategoryWeights``."""
-    return _draw_index(_scaled(cuts), rng)
 
 
 def _uniform_below(rng, m: int) -> int:

@@ -5,8 +5,11 @@ cancel catastrophically in floating point, so no float is ever formed
 internally. For a bias p = a/b, each product p^i (1-p)^j that appears has
 i + j <= 2^n, so all terms share the denominator b^(2^n); the evaluators
 accumulate plain integer numerators over that fixed denominator and
-reduce once at the end. Decimal output is rounding of the exact value
-(half-even).
+reduce once at the end. These numerators are the only implementation of
+the paper's inclusion-exclusion sums: at p = 1/2 the denominator is
+2^(2^n), so each numerator is a count of functions, and
+``exact_counts`` takes its counts from here. Decimal output is rounding
+of the exact value (half-even).
 
 Direction handling: every negative-direction formula is the positive one
 with the bias complemented (the lone mixed term p^h (1-p)^h is symmetric),
@@ -16,7 +19,7 @@ so negative variants delegate to the positive evaluator at 1-p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
@@ -89,7 +92,12 @@ class _BiasPowers:
     def _pow(cache: dict[int, int], base: int, e: int) -> int:
         got = cache.get(e)
         if got is None:
-            got = cache[e] = base**e
+            # a shift is linear in the result's size: 1 << 2^24 takes 1.4 ms, 2**2^24 110 ms
+            if base > 0 and base & (base - 1) == 0:
+                got = 1 << (base.bit_length() - 1) * e
+            else:
+                got = base**e
+            cache[e] = got
         return got
 
     def term(self, i: int, j: int) -> int:
@@ -135,29 +143,21 @@ def _block_num(ctx: _BiasPowers, k: int) -> int:
 def _exactly_num(ctx: _BiasPowers, k: int) -> int:
     """Numerator of the exactly-k probability in the direction of ctx's bias.
 
-    Cases: k = n = 1 is the enumeration special case p^2 (the constant-1
-    function is the entire class there); k = n folds in the constant; k = 1
-    subtracts the both-ways share; 1 < k < n is the plain generalized
-    inclusion-exclusion sum.
+    The generalized inclusion-exclusion sum over the blocks of r >= k
+    variables, sum_r (-1)^(r-k) C(r,k) C(n,r) Pr[block of r]. The constant
+    in ctx's direction belongs to k = n, and the both-ways functions, which
+    every block of one variable counts, are taken out of k = 1; at n = 1
+    both corrections apply and leave p^2.
     """
     n, size = ctx.n, ctx.size
-    if n == 1:
-        return ctx.term(2, 0)
-    if k == n:
-        return (1 << n) * (ctx.term(size - 1, 0) - ctx.term(size, 0)) + ctx.term(size, 0)
-    if k == 1:
-        half = size >> 1
-        acc = 2 * n * (ctx.term(half, 0) - ctx.term(size, 0) - ctx.term(half, half))
-        for r in range(2, n + 1):
-            e = size - (size >> r)
-            term = r * comb(n, r) * (1 << r) * (ctx.term(e, 0) - ctx.term(size, 0))
-            acc += term if r % 2 == 1 else -term
-        return acc
     acc = 0
     for r in range(k, n + 1):
-        e = size - (size >> r)
-        term = comb(r, k) * comb(n, r) * (1 << r) * (ctx.term(e, 0) - ctx.term(size, 0))
+        term = comb(r, k) * comb(n, r) * _block_num(ctx, r)
         acc += term if (r - k) % 2 == 0 else -term
+    if k == n:
+        acc += ctx.term(size, 0)
+    if k == 1:
+        acc -= _both_ways_num(ctx)
     return acc
 
 
@@ -246,10 +246,35 @@ def prob_breakdown(n: int, p, *, max_n: int | None = None) -> ProbBreakdown:
 
 def decimal_string(value: Fraction, digits: int = 12) -> str:
     """Decimal rendering of an exact rational, rounded half-even to
-    ``digits`` significant digits."""
+    ``digits`` significant digits, formatted as ``decimal``'s division at
+    that precision gives it (e.g. '0.875', '1.0E+2').
+
+    Only the ``digits`` leading digits of a / b are formed, in integers, in
+    time near linear in the size of ``value``. An exact quotient keeps
+    trailing zeros down to the units digit (``decimal``'s ideal exponent 0).
+    """
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
-    with localcontext() as ctx:
-        ctx.prec = digits
-        ctx.rounding = ROUND_HALF_EVEN
-        return str(Decimal(value.numerator) / Decimal(value.denominator))
+    a, b = abs(value.numerator), value.denominator
+    if not a:
+        return "0"
+    limit = 10**digits
+    # a / b > 2^d for d = len(a) - len(b) - 1 bits, so floor(d log10(2)) - 1 <= floor(log10(a / b))
+    # (1 to spare for log10(2) rounded down at d < 0): e is at most the last kept digit's exponent
+    e = (a.bit_length() - b.bit_length() - 1) * 30102999566 // 10**11 - digits
+    num, den = (a, b * 10**e) if e >= 0 else (a * 10**-e, b)
+    head, rest = divmod(num, den)
+    while head >= limit:
+        head, low = divmod(head, 10)
+        rest += low * den
+        den *= 10
+        e += 1
+    if 2 * rest > den or (2 * rest == den and head & 1):
+        head += 1
+        if head == limit:
+            head //= 10
+            e += 1
+    while not rest and e < 0 and head % 10 == 0:
+        head //= 10
+        e += 1
+    return str(Decimal((int(value < 0), Decimal(head).as_tuple().digits, e)))

@@ -5,9 +5,14 @@ bit masks, so a shared bug with the packed implementations is unlikely.
 Forcing values follow the same orientation as the library: a pair (i, s)
 in a direction means fixing variable i to input value s pins the output.
 Constant functions count as canalizing on all n variables, one direction.
+
+``count_canalizing`` and ``count_exact_k`` are the counts' hand-derived
+closed forms, written apart from the library's inclusion-exclusion
+evaluator, so that checks of the counts compare two different sums.
 """
 
 from itertools import product
+from math import comb
 
 
 def bits_list(n, value):
@@ -91,3 +96,34 @@ def attempt_outcome(n, q, r, subset, s_bits, g):
     positive, negative = forcing_pairs(bits, n)
     same, other = (positive, negative) if r == 1 else (negative, positive)
     return not other and {i for i, _ in same} == set(subset), bits
+
+
+def count_canalizing(n):
+    """2((-1)^n - n) + sum over k=1..n of
+    (-1)^(k+1) * C(n,k) * 2^(k+1) * 2^(2^(n-k))."""
+    total = 2 * ((-1) ** n - n)
+    for k in range(1, n + 1):
+        term = comb(n, k) << (k + 1 + (1 << (n - k)))
+        total += term if k % 2 == 1 else -term
+    return total
+
+
+def count_exact_k(n, k):
+    """Four closed forms cover the cases, dispatched in the order
+    (k=1,n=1), (k=n>1), (k=1<n), (1<k<n). The two constant functions are
+    counted at k = n only."""
+    if k == 1 and n == 1:
+        return 4
+    if k == n:
+        return 2 + (1 << (n + 1))
+    if k == 1:
+        total = 2 * n * ((1 << (1 + (1 << (n - 1)))) - 3)
+        for r in range(2, n + 1):
+            term = r * comb(n, r) * ((1 << (1 << (n - r))) - 1) << (r + 1)
+            total += term if r % 2 == 1 else -term
+        return total
+    total = 0
+    for r in range(k, n + 1):
+        term = comb(r, k) * comb(n, r) * ((1 << (1 << (n - r))) - 1) << (r + 1)
+        total += term if (r - k) % 2 == 0 else -term
+    return total

@@ -43,6 +43,15 @@ def test_count_out_of_range():
         count_canalizing(25)
 
 
+def test_counts_equal_hand_derived_sums():
+    # the library takes its counts from the p = 1/2 probability numerators;
+    # the reference keeps the hand-derived closed forms
+    for n in range(1, 25):
+        assert count_canalizing(n) == ref.count_canalizing(n), n
+        for k in range(1, n + 1):
+            assert count_exact_k(n, k) == ref.count_exact_k(n, k), (n, k)
+
+
 def _brute_exact_k(n):
     """Tally num-canalizing-variables over all functions, naive semantics."""
     tally = {k: 0 for k in range(1, n + 1)}
@@ -88,8 +97,16 @@ def test_count_both_ways():
     assert count_both_ways(1) == 2
     assert count_both_ways(2) == 4
     assert count_both_ways(10) == 20
+    assert count_both_ways(24) == 48
     with pytest.raises(RangeError):
         count_both_ways(0)
+    with pytest.raises(RangeError):
+        count_both_ways(25)
+
+
+def test_count_both_ways_cap_follows_env(monkeypatch):
+    monkeypatch.setenv("CANALIS_MAX_N", "30")
+    assert count_both_ways(25) == 50
 
 
 def test_asymptotic_bounds_examples():

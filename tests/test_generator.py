@@ -19,7 +19,7 @@ from canalis import (
     to_hex,
 )
 import naive_ref
-from canalis.generator import _accepts, _deposit, _fill, sample_index
+from canalis.generator import _accepts, _deposit, _draw_index, _fill, _scaled
 from sampler_checks import record_consistent
 
 HALF = Fraction(1, 2)
@@ -60,8 +60,8 @@ def test_category_weights_n2():
     assert w.w_pce == {1: 0, 2: Fraction(5, 16)}
     assert w.w_nce == {1: 0, 2: Fraction(5, 16)}
     assert w.total == prob_canalizing(2, HALF) == Fraction(7, 8)
-    # cumulative cuts over q = 0..2, normalized
-    assert w.q_cuts == (Fraction(2, 7), Fraction(2, 7), Fraction(1))
+    # cumulative cuts 2/7, 2/7, 1 over q = 0..2, normalized
+    assert w.q_scaled == ((2, 2, 7), 7)
 
 
 def test_category_weights_rejects_degenerate_bias():
@@ -74,27 +74,28 @@ def test_category_weights_rejects_degenerate_bias():
 def test_sample_index_scripted():
     cuts = (Fraction(2, 7), Fraction(2, 7), Fraction(1))
     # bits 0,0 pin the expansion into [0, 1/4) inside [0, 2/7)
-    assert sample_index(cuts, ScriptedBits([(1, 0), (1, 0)])) == 0
+    assert _draw_index(_scaled(cuts), ScriptedBits([(1, 0), (1, 0)])) == 0
     # a single 1 bit pins [1/2, 1) past both 2/7 cuts
-    assert sample_index(cuts, ScriptedBits([(1, 1)])) == 2
+    assert _draw_index(_scaled(cuts), ScriptedBits([(1, 1)])) == 2
 
 
 def test_sample_index_skips_empty_category():
     cuts = (Fraction(1, 2), Fraction(1, 2), Fraction(1))
     for script in ([(1, 0), (1, 0)], [(1, 1)], [(1, 0), (1, 1)]):
-        idx = sample_index(cuts, ScriptedBits(list(script)))
+        idx = _draw_index(_scaled(cuts), ScriptedBits(list(script)))
         assert idx != 1
 
 
 def test_sample_index_rejects_cuts_not_ending_at_one():
+    # _scaled refuses the cuts before any bit is drawn
     with pytest.raises(ArithmeticError):
-        sample_index((Fraction(1, 2), Fraction(3, 4)), ScriptedBits([]))
+        _draw_index(_scaled((Fraction(1, 2), Fraction(3, 4))), ScriptedBits([]))
 
 
 def test_sample_index_degenerate_no_bits():
     # single category taking all mass resolves without consuming bits
-    assert sample_index((Fraction(1),), ScriptedBits([])) == 0
-    assert sample_index((Fraction(0), Fraction(1)), ScriptedBits([])) == 1
+    assert _draw_index(_scaled((Fraction(1),)), ScriptedBits([])) == 0
+    assert _draw_index(_scaled((Fraction(0), Fraction(1))), ScriptedBits([])) == 1
 
 
 def test_sample_category_scripted():

@@ -1,3 +1,5 @@
+import random
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -170,3 +172,69 @@ def test_decimal_string():
     assert decimal_string(Fraction(119, 128), 6) == "0.929688"
     with pytest.raises(ValueError):
         decimal_string(Fraction(1, 2), 0)
+
+
+def _decimal_by_division(value, digits):
+    """The rendering by the decimal module's division, whose int conversion
+    is quadratic but whose rounding and format are the reference."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        ctx.rounding = ROUND_HALF_EVEN
+        return str(Decimal(value.numerator) / Decimal(value.denominator))
+
+
+def test_decimal_string_equals_decimal_division_on_random_rationals():
+    rng = random.Random(20241018)
+    values = []
+    for _ in range(1000):
+        sign = rng.choice((1, -1))
+        values += [
+            Fraction(sign * rng.randrange(10**6), rng.randrange(1, 10**6)),
+            Fraction(sign * rng.getrandbits(rng.randrange(1, 400)), rng.getrandbits(300) | 1),
+            # terminating decimals, many of them exact at the tested digits
+            Fraction(rng.randrange(1, 10**4) * 10 ** rng.randrange(30), 2 ** rng.randrange(40)),
+            Fraction(rng.randrange(1000), 5 ** rng.randrange(8)),
+        ]
+    for value in values:
+        for digits in (1, 2, 3, 6, 12, 25):
+            assert decimal_string(value, digits) == _decimal_by_division(value, digits), (
+                value,
+                digits,
+            )
+
+
+def test_decimal_string_equals_decimal_division_on_every_class_probability():
+    for n in range(1, 13):
+        for p in (Fraction(1, 10), Fraction(1, 3), HALF, Fraction(3, 5), Fraction(9, 10)):
+            b = prob_breakdown(n, p)
+            for value in [b.pr_c, b.pr_bc, *b.pr_pce.values(), *b.pr_nce.values()]:
+                for digits in (1, 6, 12, 30):
+                    assert decimal_string(value, digits) == _decimal_by_division(value, digits), (
+                        n,
+                        p,
+                        digits,
+                    )
+
+
+def test_decimal_string_ties_exact_values_and_signs():
+    values = [Fraction(0), Fraction(1), Fraction(10), Fraction(100), Fraction(12345678)]
+    values += [Fraction(-7, 8), Fraction(-5, 2), Fraction(-1, 3), Fraction(1, 10**9)]
+    # ties at the last kept digit, both parities, and carries into a new digit
+    for head in (12, 15, 25, 99, 995, 9995):
+        for e in (-9, -1, 0, 3):
+            values += [Fraction(2 * head + 1, 2) * Fraction(10) ** e]
+            values += [Fraction(head) * Fraction(10) ** e]
+    for value in values:
+        for digits in (1, 2, 3, 4, 8, 12):
+            assert decimal_string(value, digits) == _decimal_by_division(value, digits), (
+                value,
+                digits,
+            )
+    assert decimal_string(Fraction(5, 2), 1) == "2"
+    assert decimal_string(Fraction(100), 2) == "1.0E+2"
+    assert decimal_string(Fraction(1, 2), 12) == "0.5"
+
+
+def test_decimal_string_above_int_str_digit_limit():
+    for value in (Fraction(1, 3), Fraction(2**20000, 7), Fraction(-(10**6000) - 1, 3)):
+        assert decimal_string(value, 5000) == _decimal_by_division(value, 5000)
