@@ -224,20 +224,8 @@ def cmd_generate(args) -> int:
         n=args.n, p=bias, seed=seed, max_rejections=args.max_rejections
     )
     gen = CanalizingGenerator(config)
-    tables = []
-    records = []
-    for _ in range(args.count):
-        table, record = gen.draw()
-        tables.append(to_hex(table))
-        records.append(
-            {
-                "q": record.q,
-                "r": record.r,
-                "subset": list(record.subset),
-                "values": {str(i): v for i, v in sorted(record.values.items())},
-                "rejections": record.rejections,
-            }
-        )
+    draws = [gen.draw() for _ in range(args.count)]
+    tables = [to_hex(table) for table, _ in draws]
     if args.format == "lines":
         for line in tables:
             print(line)
@@ -251,7 +239,16 @@ def cmd_generate(args) -> int:
     }
     result: dict = {"tables": tables}
     if args.records:
-        result["records"] = records
+        result["records"] = [
+            {
+                "q": record.q,
+                "r": record.r,
+                "subset": list(record.subset),
+                "values": {str(i): v for i, v in sorted(record.values.items())},
+                "rejections": record.rejections,
+            }
+            for _, record in draws
+        ]
     _emit(_envelope("generate", params, result))
     return EXIT_OK
 

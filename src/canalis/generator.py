@@ -21,11 +21,13 @@ only when the drawn forcing values are the canonical all-zeros map, which
 restores the one-accepting-route-per-function property.
 
 No floating point is involved anywhere: category draws compare a lazily
-extended uniform bit expansion against cumulative cut points held as
-integer numerators over one common denominator, precomputed once per
-(n, p), and each biased fill bit is an exact integer comparison of a
-``width``-bit value against the bias numerator, with rejection of values
-at or above its denominator.
+extended uniform bit expansion against cumulative cut points, precomputed
+once per (n, p). The cut points are the class numerators themselves, the
+integers over b^(2^n) that ``probability`` sums for p = a/b: the
+categories' running sums over the numerator of Pr[C], and a direction's
+numerator over its category's. Each biased fill bit is an exact integer
+comparison of a ``width``-bit value against the bias numerator, with
+rejection of values at or above its denominator.
 
 An attempt works on its fill alone. The fill is the table g of the free
 inputs (the m = n - q variables outside the chosen set, in ascending
@@ -56,10 +58,11 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from itertools import accumulate
+from math import comb
 
 from .limits import DEFAULT_GEN_MAX_N, check_n
-from .probability import prob_breakdown, validate_bias
+from .probability import _class_numerators, validate_bias
 # classify is not called here: perfbench's traced run wraps
 # canalis.generator.classify by name and reads its call count, which stays
 # importable until that run reads counters instead
@@ -108,58 +111,33 @@ class GeneratorConfig:
 
 @dataclass(frozen=True)
 class CategoryWeights:
-    """Class weights for one (n, p) plus the precomputed cut points used
-    for sampling, as integer numerators over one common denominator:
-    ``q_scaled`` for the cumulative shares of the categories q = 0..n in
-    the total and ``share_scaled[k]`` for the positive direction's share
-    inside category k."""
+    """Cut points of the category draw for one (n, p), as integer
+    numerators over one common denominator: ``q_scaled`` for the
+    cumulative shares of the categories q = 0..n in Pr[C], and
+    ``share_scaled[k]`` for the positive direction's share inside a
+    nonempty category k."""
 
     n: int
     p: Fraction
-    w_bc: Fraction
-    w_pce: dict[int, Fraction]
-    w_nce: dict[int, Fraction]
-    total: Fraction
     q_scaled: tuple[tuple[int, ...], int] = field(repr=False)
     share_scaled: dict[int, tuple[tuple[int, ...], int]] = field(repr=False)
 
 
-def _scaled(cuts) -> tuple[tuple[int, ...], int]:
-    """Ascending cumulative cuts (the last equal to 1) as integer
-    numerators over their least common denominator."""
-    denom = lcm(*(c.denominator for c in cuts))
-    numerators = tuple(c.numerator * (denom // c.denominator) for c in cuts)
-    if numerators[-1] != denom:
-        raise ArithmeticError("the last cumulative cut is not 1")
-    return numerators, denom
-
-
 def category_weights(n: int, p) -> CategoryWeights:
-    """Assemble the category weights from the exact class probabilities."""
-    breakdown = prob_breakdown(n, validate_bias(p, strict=True))
-    w_bc = breakdown.pr_bc
-    w_pce = dict(breakdown.pr_pce)
-    w_nce = dict(breakdown.pr_nce)
-    total = breakdown.pr_c
-
-    cuts = []
-    acc = w_bc / total
-    cuts.append(acc)
-    shares = {}
-    for k in range(1, n + 1):
-        both = w_pce[k] + w_nce[k]
-        acc += both / total
-        cuts.append(acc)
-        shares[k] = w_pce[k] / both if both else Fraction(0)
+    """The cut points, straight from the class numerators over b^(2^n):
+    the categories' running sums over the numerator of Pr[C], and each
+    direction's numerator over its category's."""
+    check_n(n, DEFAULT_GEN_MAX_N)
+    p = validate_bias(p, strict=True)
+    c, bc, pce, nce = _class_numerators(n, p)
+    sizes = [bc] + [pce[k] + nce[k] for k in range(1, n + 1)]
     return CategoryWeights(
         n=n,
-        p=breakdown.p,
-        w_bc=w_bc,
-        w_pce=w_pce,
-        w_nce=w_nce,
-        total=total,
-        q_scaled=_scaled(cuts),
-        share_scaled={k: _scaled((share, 1)) for k, share in shares.items()},
+        p=p,
+        # the partition check makes the last running sum c
+        q_scaled=(tuple(accumulate(sizes)), c),
+        # _draw_index never selects an empty category, so it needs no share
+        share_scaled={k: ((pce[k], size), size) for k, size in enumerate(sizes) if k and size},
     )
 
 
@@ -339,12 +317,20 @@ def generate(
     """One draw from the bias-p law conditioned on the canalizing class.
 
     ``rng`` is any object with ``getrandbits``; pass ``weights`` to reuse
-    the category weights across draws. Raises RejectionLimitExceeded after
-    ``config.max_rejections`` consecutive rejected fills.
+    the category weights of the same (n, p) across draws. Raises
+    ValueError for weights of another (n, p), and RejectionLimitExceeded
+    after ``config.max_rejections`` consecutive rejected fills.
     """
     n = config.n
     if weights is None:
         weights = category_weights(n, config.p)
+    # tuples compare identical items by identity, and the config and the
+    # weights usually hold the same bias object, so a draw pays no
+    # Fraction comparison for this check
+    elif (weights.n, weights.p) != (n, config.p):
+        raise ValueError(
+            f"weights are for n={weights.n}, p={weights.p}, not n={n}, p={config.p}"
+        )
     q, r = sample_category(weights, rng)
 
     if q == 0:

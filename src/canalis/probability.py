@@ -51,8 +51,9 @@ def parse_bias(text: str) -> Fraction:
 
 
 def validate_bias(p, *, strict: bool = False) -> Fraction:
-    """Coerce to Fraction and enforce 0 <= p <= 1 (0 < p < 1 when strict)."""
-    value = Fraction(p)
+    """Coerce to Fraction and enforce 0 <= p <= 1 (0 < p < 1 when strict).
+    A Fraction is returned as given, so a bias keeps its identity."""
+    value = p if type(p) is Fraction else Fraction(p)
     if strict:
         if not 0 < value < 1:
             raise ValueError(f"bias must satisfy 0 < p < 1, got {value}")
@@ -209,6 +210,22 @@ def prob_exactly_k(
     return ctx.fraction(_exactly_num(ctx, k))
 
 
+def _class_numerators(n: int, p: Fraction) -> tuple[int, int, dict[int, int], dict[int, int]]:
+    """Numerators over b^(2^n) of Pr[C], the both-ways class and the
+    positive and negative exactly-k classes (k = 1..n) of a validated
+    (n, p), checked to partition Pr[C]."""
+    pos = _BiasPowers(n, p)
+    neg = pos.complemented()
+    c = _canalizing_num(pos)
+    bc = _both_ways_num(pos)
+    pce = {k: _exactly_num(pos, k) for k in range(1, n + 1)}
+    nce = {k: _exactly_num(neg, k) for k in range(1, n + 1)}
+    # shared denominator makes the partition identity an integer equality
+    if bc + sum(pce.values()) + sum(nce.values()) != c:
+        raise ArithmeticError(f"class probabilities at n={n}, p={p} do not sum to Pr[canalizing]")
+    return c, bc, pce, nce
+
+
 @dataclass(frozen=True)
 class ProbBreakdown:
     """All class probabilities for one (n, p), satisfying exactly
@@ -223,24 +240,18 @@ class ProbBreakdown:
 
 
 def prob_breakdown(n: int, p, *, max_n: int | None = None) -> ProbBreakdown:
-    """Evaluate every class probability at once, sharing power caches."""
+    """Evaluate every class probability at once, as the Fractions of the
+    class numerators."""
     n, p = _checked(n, p, max_n=max_n)
-    pos = _BiasPowers(n, p)
-    neg = pos.complemented()
-    num_c = _canalizing_num(pos)
-    num_bc = _both_ways_num(pos)
-    pce_nums = {k: _exactly_num(pos, k) for k in range(1, n + 1)}
-    nce_nums = {k: _exactly_num(neg, k) for k in range(1, n + 1)}
-    # shared denominator makes the partition identity an integer equality
-    if num_bc + sum(pce_nums.values()) + sum(nce_nums.values()) != num_c:
-        raise ArithmeticError(f"class probabilities at n={n}, p={p} do not sum to Pr[canalizing]")
+    c, bc, pce, nce = _class_numerators(n, p)
+    frac = _BiasPowers(n, p).fraction
     return ProbBreakdown(
         n=n,
         p=p,
-        pr_c=pos.fraction(num_c),
-        pr_bc=pos.fraction(num_bc),
-        pr_pce={k: pos.fraction(v) for k, v in pce_nums.items()},
-        pr_nce={k: pos.fraction(v) for k, v in nce_nums.items()},
+        pr_c=frac(c),
+        pr_bc=frac(bc),
+        pr_pce={k: frac(v) for k, v in pce.items()},
+        pr_nce={k: frac(v) for k, v in nce.items()},
     )
 
 

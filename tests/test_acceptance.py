@@ -18,7 +18,6 @@ from canalis import (
     GeneratorConfig,
     TruthTable,
     asymptotic_bounds,
-    category_weights,
     class_prob_from_census,
     count_both_ways,
     count_canalizing,
@@ -198,14 +197,10 @@ def _law_chi_square(p, seed, draws):
     assert len(observed) == 120
     func_stat, _ = st.chisquare(observed, expected)
 
-    weights = category_weights(3, p)
+    b = prob_breakdown(3, p)
     keys, q_expected = [], []
     for q in range(4):
-        share = (
-            weights.w_bc
-            if q == 0
-            else weights.w_pce[q] + weights.w_nce[q]
-        ) / weights.total
+        share = (b.pr_bc if q == 0 else b.pr_pce[q] + b.pr_nce[q]) / b.pr_c
         if share:
             keys.append(q)
             q_expected.append(float(share) * draws)

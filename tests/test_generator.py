@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import combinations
+from itertools import accumulate, combinations
 from collections import Counter
 from fractions import Fraction
 
@@ -10,16 +10,18 @@ import scipy.stats as st
 from canalis import (
     CanalizingGenerator,
     GeneratorConfig,
+    RangeError,
     RejectionLimitExceeded,
     category_weights,
     generate,
     is_canalizing,
+    prob_breakdown,
     prob_canalizing,
     sample_category,
     to_hex,
 )
 import naive_ref
-from canalis.generator import _accepts, _deposit, _draw_index, _fill, _scaled
+from canalis.generator import _accepts, _deposit, _draw_index, _fill
 from sampler_checks import record_consistent
 
 HALF = Fraction(1, 2)
@@ -46,22 +48,49 @@ class ConstantBits:
         return (1 << k) - 1
 
 
+def _cuts(scaled):
+    numerators, denom = scaled
+    return [Fraction(v, denom) for v in numerators]
+
+
 def test_category_weights_n1():
     w = category_weights(1, HALF)
-    assert w.w_bc == HALF
-    assert w.w_pce == {1: Fraction(1, 4)}
-    assert w.w_nce == {1: Fraction(1, 4)}
-    assert w.total == 1
+    # both-ways 1/2, then the positive and negative q = 1 classes 1/4 each
+    assert _cuts(w.q_scaled) == [HALF, 1]
+    assert _cuts(w.share_scaled[1]) == [HALF, 1]
 
 
 def test_category_weights_n2():
     w = category_weights(2, HALF)
-    assert w.w_bc == Fraction(1, 4)
-    assert w.w_pce == {1: 0, 2: Fraction(5, 16)}
-    assert w.w_nce == {1: 0, 2: Fraction(5, 16)}
-    assert w.total == prob_canalizing(2, HALF) == Fraction(7, 8)
-    # cumulative cuts 2/7, 2/7, 1 over q = 0..2, normalized
-    assert w.q_scaled == ((2, 2, 7), 7)
+    # Pr[C] = 7/8 = 1/4 both-ways + 0 at q = 1 + 5/16 + 5/16 at q = 2
+    assert _cuts(w.q_scaled) == [Fraction(2, 7), Fraction(2, 7), 1]
+    # the empty category q = 1 gets no direction cut
+    assert set(w.share_scaled) == {2}
+    assert _cuts(w.share_scaled[2]) == [HALF, 1]
+
+
+CUT_BIASES = [HALF, Fraction(1, 3), Fraction(2, 3), Fraction(1, 100), Fraction(99, 100)]
+
+
+@pytest.mark.parametrize(
+    "n, p",
+    [(n, p) for n in range(1, 13) for p in CUT_BIASES] + [(16, Fraction(1, 3))],
+    ids=str,
+)
+def test_cut_points_equal_class_probabilities(n, p):
+    w = category_weights(n, p)
+    b = prob_breakdown(n, p)
+    sizes = [b.pr_bc] + [b.pr_pce[k] + b.pr_nce[k] for k in range(1, n + 1)]
+    assert _cuts(w.q_scaled) == [s / b.pr_c for s in accumulate(sizes)]
+    assert set(w.share_scaled) == {k for k in range(1, n + 1) if sizes[k]}
+    for k, scaled in w.share_scaled.items():
+        assert _cuts(scaled) == [b.pr_pce[k] / sizes[k], 1]
+
+
+@pytest.mark.parametrize("n", [0, 17, True])
+def test_category_weights_rejects_n_out_of_range(n):
+    with pytest.raises(RangeError):
+        category_weights(n, HALF)
 
 
 def test_category_weights_rejects_degenerate_bias():
@@ -71,31 +100,36 @@ def test_category_weights_rejects_degenerate_bias():
         category_weights(2, Fraction(1))
 
 
+def test_generate_rejects_weights_of_another_law():
+    config = GeneratorConfig(n=4, p=HALF)
+    for n, p in ((3, HALF), (4, Fraction(1, 3)), (3, Fraction(1, 3))):
+        with pytest.raises(ValueError):
+            generate(config, random.Random(1), category_weights(n, p))
+    weights = category_weights(4, HALF)
+    # the same bias object keeps the per-draw check to identity tests
+    assert weights.p is config.p
+    generate(config, random.Random(1), weights)
+
+
 def test_sample_index_scripted():
-    cuts = (Fraction(2, 7), Fraction(2, 7), Fraction(1))
+    cuts = ((2, 2, 7), 7)
     # bits 0,0 pin the expansion into [0, 1/4) inside [0, 2/7)
-    assert _draw_index(_scaled(cuts), ScriptedBits([(1, 0), (1, 0)])) == 0
+    assert _draw_index(cuts, ScriptedBits([(1, 0), (1, 0)])) == 0
     # a single 1 bit pins [1/2, 1) past both 2/7 cuts
-    assert _draw_index(_scaled(cuts), ScriptedBits([(1, 1)])) == 2
+    assert _draw_index(cuts, ScriptedBits([(1, 1)])) == 2
 
 
 def test_sample_index_skips_empty_category():
-    cuts = (Fraction(1, 2), Fraction(1, 2), Fraction(1))
+    cuts = ((1, 1, 2), 2)
     for script in ([(1, 0), (1, 0)], [(1, 1)], [(1, 0), (1, 1)]):
-        idx = _draw_index(_scaled(cuts), ScriptedBits(list(script)))
+        idx = _draw_index(cuts, ScriptedBits(list(script)))
         assert idx != 1
-
-
-def test_sample_index_rejects_cuts_not_ending_at_one():
-    # _scaled refuses the cuts before any bit is drawn
-    with pytest.raises(ArithmeticError):
-        _draw_index(_scaled((Fraction(1, 2), Fraction(3, 4))), ScriptedBits([]))
 
 
 def test_sample_index_degenerate_no_bits():
     # single category taking all mass resolves without consuming bits
-    assert _draw_index(_scaled((Fraction(1),)), ScriptedBits([])) == 0
-    assert _draw_index(_scaled((Fraction(0), Fraction(1))), ScriptedBits([])) == 1
+    assert _draw_index(((1,), 1), ScriptedBits([])) == 0
+    assert _draw_index(((0, 5), 5), ScriptedBits([])) == 1
 
 
 def test_sample_category_scripted():
@@ -313,22 +347,18 @@ def test_conditional_law_n2_chi_square():
 
 def test_category_marginal_n2_chi_square():
     p = Fraction(1, 4)
-    weights = category_weights(2, p)
+    b = prob_breakdown(2, p)
     gen = CanalizingGenerator(GeneratorConfig(n=2, p=p, seed=13))
     draws = 30000
     tally = Counter()
     for _, record in gen.draws(draws):
         tally[(record.q, record.r)] += 1
-    keys, expected = [], []
-    for q in range(3):
-        if q == 0:
-            keys.append((0, None))
-            expected.append(float(weights.w_bc / weights.total) * draws)
-            continue
-        for r, w in ((1, weights.w_pce[q]), (0, weights.w_nce[q])):
+    keys, expected = [(0, None)], [float(b.pr_bc / b.pr_c) * draws]
+    for q in range(1, 3):
+        for r, w in ((1, b.pr_pce[q]), (0, b.pr_nce[q])):
             if w:
                 keys.append((q, r))
-                expected.append(float(w / weights.total) * draws)
+                expected.append(float(w / b.pr_c) * draws)
     observed = [tally[k] for k in keys]
     assert sum(observed) == draws  # zero-weight categories never drawn
     statistic, _ = st.chisquare(observed, expected)

@@ -6,6 +6,7 @@ import pytest
 
 from canalis import (
     RangeError,
+    category_weights,
     count_canalizing,
     decimal_string,
     parse_bias,
@@ -15,6 +16,7 @@ from canalis import (
     prob_canalizing_on_block,
     prob_exactly_k,
 )
+from canalis import probability
 
 HALF = Fraction(1, 2)
 BIAS_GRID = [Fraction(0), Fraction(1, 10), Fraction(1, 4), HALF, Fraction(9, 10), Fraction(1)]
@@ -110,6 +112,17 @@ def test_partition_identity(n):
         b = prob_breakdown(n, p)
         total = b.pr_bc + sum(b.pr_pce.values()) + sum(b.pr_nce.values())
         assert total == b.pr_c == prob_canalizing(n, p)
+
+
+def test_class_numerators_refuse_broken_partition(monkeypatch):
+    # the one partition check guards both the probabilities and the
+    # sampler's cut points, which are built from the same numerators
+    exactly_num = probability._exactly_num
+    monkeypatch.setattr(probability, "_exactly_num", lambda ctx, k: exactly_num(ctx, k) + (k == 2))
+    with pytest.raises(ArithmeticError):
+        prob_breakdown(3, HALF)
+    with pytest.raises(ArithmeticError):
+        category_weights(3, HALF)
 
 
 @pytest.mark.parametrize("n", range(1, 17))
