@@ -30,7 +30,6 @@ from .oracle import (
     ClassCensus,
     census_to_json,
     class_prob_from_census,
-    count_canalizing_in_range,
     deep_count_n5,
     enumerate_classify,
     prob_from_census,
@@ -98,6 +97,5 @@ __all__ = [
     "prob_from_census",
     "class_prob_from_census",
     "census_to_json",
-    "count_canalizing_in_range",
     "deep_count_n5",
 ]

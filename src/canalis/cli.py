@@ -135,9 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="cross-check closed forms against brute force")
     p_ver.add_argument("--max-n", type=int, default=4, help="verify n = 1..max-n (max 4)")
     p_ver.add_argument(
-        "--deep-n5", action="store_true", help="also scan all 2^32 five-variable tables"
+        "--deep-n5", action="store_true", help="also count the n = 5 tables by profile DP"
     )
-    p_ver.add_argument("--workers", type=int, help="processes for the deep scan")
     p_ver.add_argument(
         "--emit-census", action="store_true", help="include full census documents"
     )
@@ -330,12 +329,7 @@ def cmd_verify(args) -> int:
     if args.emit_census:
         result["censuses"] = censuses
     if args.deep_n5:
-
-        def progress(done: int, total: int) -> None:
-            if done % 16 == 0 or done == total:
-                print(f"deep-n5: {done}/{total} blocks", file=sys.stderr)
-
-        deep = deep_count_n5(workers=args.workers, progress=progress)
+        deep = deep_count_n5()
         result["deep_n5_count"] = str(deep)
         result["deep_n5_expected"] = str(N5_CANALIZING_COUNT)
         if deep != N5_CANALIZING_COUNT:

@@ -32,17 +32,17 @@ def _nonnegative(total: int) -> int:
     return total
 
 
-def count_canalizing(n: int, *, max_n: int | None = None) -> int:
+def count_canalizing(n: int) -> int:
     """Number of canalizing functions of ``n`` variables: the numerator of
     Pr[canalizing] at p = 1/2 over 2^(2^n), which equals
     2((-1)^n - n) + sum over k=1..n of
     (-1)^(k+1) * C(n,k) * 2^(k+1) * 2^(2^(n-k)).
     """
-    check_n(n, DEFAULT_COUNT_MAX_N, explicit_cap=max_n)
+    check_n(n, DEFAULT_COUNT_MAX_N)
     return _nonnegative(_canalizing_num(_BiasPowers(n, Fraction(1, 2))))
 
 
-def count_exact_k(n: int, k: int, *, max_n: int | None = None) -> int:
+def count_exact_k(n: int, k: int) -> int:
     """Number of functions canalizing on exactly ``k`` of ``n`` variables.
 
     At p = 1/2 the two directions have equal numerators, so this is twice
@@ -50,7 +50,7 @@ def count_exact_k(n: int, k: int, *, max_n: int | None = None) -> int:
     (canalizing both ways, on one variable) at k = 1. The two constant
     functions are counted at k = n.
     """
-    check_n(n, DEFAULT_COUNT_MAX_N, explicit_cap=max_n)
+    check_n(n, DEFAULT_COUNT_MAX_N)
     if not 1 <= k <= n:
         raise RangeError(f"k must satisfy 1 <= k <= n={n}, got {k}")
     both_ways = 2 * n if k == 1 else 0
@@ -85,9 +85,9 @@ class AsymptoticBounds:
     upper: int
 
 
-def asymptotic_bounds(n: int, *, max_n: int | None = None) -> AsymptoticBounds:
+def asymptotic_bounds(n: int) -> AsymptoticBounds:
     """Sandwich bounds 2((-1)^n - n) + S1 - S2 <= count <= 2((-1)^n - n) + S1."""
-    check_n(n, DEFAULT_COUNT_MAX_N, explicit_cap=max_n)
+    check_n(n, DEFAULT_COUNT_MAX_N)
     if n < 2:
         raise RangeError(f"asymptotic bounds need n >= 2, got {n}")
     s1 = _alternating_term(n, 1)

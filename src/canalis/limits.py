@@ -36,18 +36,10 @@ def effective_cap(default: int) -> int:
     return value
 
 
-def resolve_cap(default: int, explicit: int | None = None) -> int:
-    """An explicitly requested cap wins; otherwise the env override or default."""
-    if explicit is not None:
-        return explicit
-    return effective_cap(default)
-
-
-def check_n(n: int, default_cap: int, what: str = "n", explicit_cap: int | None = None) -> int:
-    """Validate ``1 <= n <= cap`` and return the effective cap."""
-    cap = resolve_cap(default_cap, explicit_cap)
+def check_n(n: int, default_cap: int) -> None:
+    """Validate ``1 <= n <= cap`` for the effective cap."""
+    cap = effective_cap(default_cap)
     if not isinstance(n, int) or isinstance(n, bool):
-        raise RangeError(f"{what} must be an integer, got {n!r}")
+        raise RangeError(f"n must be an integer, got {n!r}")
     if not 1 <= n <= cap:
-        raise RangeError(f"{what} must satisfy 1 <= {what} <= {cap}, got {n}")
-    return cap
+        raise RangeError(f"n must satisfy 1 <= n <= {cap}, got {n}")

@@ -1,4 +1,4 @@
-"""Brute-force ground truth for the closed forms.
+"""Ground truth for the closed forms, computed without them.
 
 The census enumerates every function of n <= 4 variables and classifies
 each one with `truth_table.classify` alone; none of the counting or
@@ -7,23 +7,23 @@ is evidence, not circularity. Weight enumerators (class member counts by
 number of ones) turn the census into exact probabilities at any rational
 bias.
 
-For n = 5 the 2^32 truth tables fit in 32-bit words; the deep scan checks
-each word against 10 half-table masks (all-ones or all-zeros under each)
-in vectorized blocks, optionally across processes.
+For n = 5 the count of canalizing tables comes from a DP over half-table
+profiles instead: the status (all-0, all-1 or mixed) of every half of a
+table follows from the statuses in its two halves under the top variable,
+so tables are counted by profile level by level, again without any
+closed form.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from multiprocessing import Pool
 
-import numpy as np
+import numpy  # noqa: F401  unused; perfbench's import-time report reads numpy's entry
 
 from .limits import RangeError
 from .probability import _direction_positive, validate_bias
-from .truth_table import TruthTable, classify, variable_mask
+from .truth_table import TruthTable, classify
 
 __all__ = [
     "ClassCensus",
@@ -32,14 +32,12 @@ __all__ = [
     "class_prob_from_census",
     "both_ways_prob_from_census",
     "census_to_json",
-    "word_is_canalizing_n5",
-    "count_canalizing_in_range",
     "deep_count_n5",
     "N5_CANALIZING_COUNT",
 ]
 
 ORACLE_MAX_N = 4
-N5_CANALIZING_COUNT = 1292276  # published value the deep scan must reproduce
+N5_CANALIZING_COUNT = 1292276  # published value the profile DP must reproduce
 
 
 @dataclass
@@ -169,76 +167,32 @@ def census_to_json(census: ClassCensus) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# n = 5 deep scan
+# n = 5 profile DP
 
 
-def _n5_masks() -> tuple[int, ...]:
-    return tuple(variable_mask(5, i, s) for i in range(5) for s in (0, 1))
+def _profile_counts(n: int) -> dict[tuple[int, int], int]:
+    """Number of n-variable tables with each profile (whole, halves).
 
-
-_MASKS_N5 = _n5_masks()
-
-
-def word_is_canalizing_n5(word: int) -> bool:
-    """Reference per-word test: some half table is constant."""
-    if not 0 <= word < (1 << 32):
-        raise ValueError(f"word out of 32-bit range: {word}")
-    for mask in _MASKS_N5:
-        half = word & mask
-        if half == 0 or half == mask:
-            return True
-    return False
-
-
-def count_canalizing_in_range(start: int, stop: int, block_size: int = 1 << 22) -> int:
-    """Count canalizing 5-variable tables among words in [start, stop)."""
-    if not 0 <= start <= stop <= (1 << 32):
-        raise ValueError(f"range [{start}, {stop}) outside [0, 2^32]")
-    masks = np.array(_MASKS_N5, dtype=np.uint32)
-    total = 0
-    for lo in range(start, stop, block_size):
-        hi = min(lo + block_size, stop)
-        words = np.arange(lo, hi, dtype=np.uint32)
-        hit = np.zeros(hi - lo, dtype=bool)
-        masked = np.empty(hi - lo, dtype=np.uint32)
-        for mask in masks:
-            np.bitwise_and(words, mask, out=masked)
-            hit |= masked == 0
-            hit |= masked == mask
-        total += int(np.count_nonzero(hit))
-    return total
-
-
-def _range_worker(bounds: tuple[int, int]) -> int:
-    return count_canalizing_in_range(bounds[0], bounds[1])
-
-
-def deep_count_n5(workers: int | None = None, progress=None, block_bits: int = 24) -> int:
-    """Scan all 2^32 five-variable tables and count the canalizing ones.
-
-    The range splits into 2^(32 - block_bits) disjoint blocks whose partial
-    counts are summed, so any worker count gives the same result. With
-    ``workers`` None the process count follows os.cpu_count(); ``progress``,
-    if given, is called as progress(done_blocks, total_blocks) after every
-    block.
+    A status is 0 mixed, 1 all-0 or 2 all-1, so the AND of two statuses is
+    the status of the union of the two parts. ``whole`` is the table's
+    status; ``halves`` holds the status of the half x_i = s in bits
+    4i + 2s. A table of m + 1 variables is a pair (f0, f1) split at x_m:
+    its halves under x_m are f0 and f1 themselves, and each other half is
+    the union of the same half in f0 and in f1.
     """
-    if not 16 <= block_bits <= 30:
-        raise ValueError(f"block_bits must be in [16, 30], got {block_bits}")
-    step = 1 << block_bits
-    bounds = [(lo, lo + step) for lo in range(0, 1 << 32, step)]
-    total_blocks = len(bounds)
-    if workers is None:
-        workers = os.cpu_count() or 1
-    total = 0
-    if workers <= 1:
-        for done, chunk in enumerate(bounds, start=1):
-            total += _range_worker(chunk)
-            if progress is not None:
-                progress(done, total_blocks)
-        return total
-    with Pool(processes=workers) as pool:
-        for done, partial in enumerate(pool.imap_unordered(_range_worker, bounds), start=1):
-            total += partial
-            if progress is not None:
-                progress(done, total_blocks)
-    return total
+    level = {(1, 0): 1, (2, 0): 1}
+    for m in range(n):
+        items = list(level.items())
+        nxt: dict[tuple[int, int], int] = {}
+        for (w0, h0), c0 in items:
+            for (w1, h1), c1 in items:
+                key = (w0 & w1, (h0 & h1) | w0 << 4 * m | w1 << 4 * m + 2)
+                nxt[key] = nxt.get(key, 0) + c0 * c1
+        level = nxt
+    return level
+
+
+def deep_count_n5() -> int:
+    """Count the canalizing five-variable tables, those with some constant
+    half, by the profile DP; no closed form is consulted."""
+    return sum(count for (_, halves), count in _profile_counts(5).items() if halves)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .limits import DEFAULT_PROB_MAX_N, RangeError, check_n
 
@@ -112,7 +112,23 @@ class _BiasPowers:
         )
 
     def fraction(self, numerator: int) -> Fraction:
-        return Fraction(numerator, self._pow(self._pb, self.b, self.size))
+        """numerator / b^(2^n) in lowest terms.
+
+        Only b's primes divide the denominator, so common factors are found
+        by gcds against b, each checked against the denominator with one
+        small operand; Fraction's own gcd of the two whole integers is
+        never formed.
+        """
+        if not numerator:
+            return Fraction(0)
+        den = self._pow(self._pb, self.b, self.size)
+        while (g := gcd(den, gcd(numerator, self.b))) > 1:
+            numerator //= g
+            den //= g
+        value = Fraction.__new__(Fraction)
+        # already coprime: set the slots instead of letting Fraction reduce
+        value._numerator, value._denominator = numerator, den
+        return value
 
     def complemented(self) -> "_BiasPowers":
         # gcd(a, b) = 1 implies gcd(b - a, b) = 1, so no renormalization
@@ -162,32 +178,30 @@ def _exactly_num(ctx: _BiasPowers, k: int) -> int:
     return acc
 
 
-def _checked(n: int, p, *, max_n: int | None = None) -> tuple[int, Fraction]:
-    check_n(n, DEFAULT_PROB_MAX_N, explicit_cap=max_n)
+def _checked(n: int, p) -> tuple[int, Fraction]:
+    check_n(n, DEFAULT_PROB_MAX_N)
     return n, validate_bias(p)
 
 
-def prob_canalizing(n: int, p, *, max_n: int | None = None) -> Fraction:
+def prob_canalizing(n: int, p) -> Fraction:
     """Probability that a bias-p random function of n variables is canalizing."""
-    n, p = _checked(n, p, max_n=max_n)
+    n, p = _checked(n, p)
     ctx = _BiasPowers(n, p)
     return ctx.fraction(_canalizing_num(ctx))
 
 
-def prob_both_ways(n: int, p, *, max_n: int | None = None) -> Fraction:
+def prob_both_ways(n: int, p) -> Fraction:
     """Probability of the both-ways class: 2n p^(2^(n-1)) (1-p)^(2^(n-1))."""
-    n, p = _checked(n, p, max_n=max_n)
+    n, p = _checked(n, p)
     ctx = _BiasPowers(n, p)
     return ctx.fraction(_both_ways_num(ctx))
 
 
-def prob_canalizing_on_block(
-    n: int, k: int, p, direction="positive", *, max_n: int | None = None
-) -> Fraction:
+def prob_canalizing_on_block(n: int, k: int, p, direction="positive") -> Fraction:
     """Probability of nonconstant functions canalizing, in one direction,
     on a fixed block of k variables: 2^k (p^(2^n - 2^(n-k)) - p^(2^n)),
     with p complemented for the negative direction."""
-    n, p = _checked(n, p, max_n=max_n)
+    n, p = _checked(n, p)
     if not 1 <= k <= n:
         raise RangeError(f"k must satisfy 1 <= k <= n={n}, got {k}")
     ctx = _BiasPowers(n, p)
@@ -196,12 +210,10 @@ def prob_canalizing_on_block(
     return ctx.fraction(_block_num(ctx, k))
 
 
-def prob_exactly_k(
-    n: int, k: int, p, direction="positive", *, max_n: int | None = None
-) -> Fraction:
+def prob_exactly_k(n: int, k: int, p, direction="positive") -> Fraction:
     """Probability of canalizing in one direction (and not the other) on
     exactly k variables; constants belong to the k = n classes."""
-    n, p = _checked(n, p, max_n=max_n)
+    n, p = _checked(n, p)
     if not 1 <= k <= n:
         raise RangeError(f"k must satisfy 1 <= k <= n={n}, got {k}")
     ctx = _BiasPowers(n, p)
@@ -239,10 +251,10 @@ class ProbBreakdown:
     pr_nce: dict[int, Fraction]
 
 
-def prob_breakdown(n: int, p, *, max_n: int | None = None) -> ProbBreakdown:
+def prob_breakdown(n: int, p) -> ProbBreakdown:
     """Evaluate every class probability at once, as the Fractions of the
     class numerators."""
-    n, p = _checked(n, p, max_n=max_n)
+    n, p = _checked(n, p)
     c, bc, pce, nce = _class_numerators(n, p)
     frac = _BiasPowers(n, p).fraction
     return ProbBreakdown(

@@ -104,14 +104,14 @@ def variable_mask(n: int, i: int, s: int) -> int:
     return mask
 
 
-def make_table(n: int, bits, *, max_n: int | None = None) -> TruthTable:
+def make_table(n: int, bits) -> TruthTable:
     """Pack a sequence of 2^n output bits into a table.
 
     ``bits[e]`` is the output on the input encoded by e. Raises RangeError
     for n outside [1, cap] and ValueError on length mismatch or non-bit
     entries.
     """
-    check_n(n, DEFAULT_TABLE_MAX_N, explicit_cap=max_n)
+    check_n(n, DEFAULT_TABLE_MAX_N)
     seq = list(bits)
     if len(seq) != (1 << n):
         raise ValueError(f"expected {1 << n} table entries for n={n}, got {len(seq)}")
@@ -133,8 +133,8 @@ def to_hex(table: TruthTable) -> str:
     return format(table.bits, f"0{hex_width(table.n)}x")
 
 
-def from_hex(n: int, text: str, *, max_n: int | None = None) -> TruthTable:
-    check_n(n, DEFAULT_TABLE_MAX_N, explicit_cap=max_n)
+def from_hex(n: int, text: str) -> TruthTable:
+    check_n(n, DEFAULT_TABLE_MAX_N)
     expected = hex_width(n)
     cleaned = text.strip().lower()
     if len(cleaned) != expected:

@@ -2,25 +2,6 @@ import pytest
 
 from canalis import enumerate_classify
 
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--deep-n5",
-        action="store_true",
-        default=False,
-        help="run the exhaustive scan over all 2^32 five-variable tables",
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--deep-n5"):
-        return
-    skip = pytest.mark.skip(reason="deep scan disabled; enable with --deep-n5")
-    for item in items:
-        if "deep" in item.keywords:
-            item.add_marker(skip)
-
-
 _CENSUS_CACHE = {}
 
 

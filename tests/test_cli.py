@@ -4,8 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import canalis
 from canalis import RejectionLimitExceeded, classify, from_hex
 from canalis.cli import main
@@ -260,11 +258,13 @@ def test_verify_detects_mismatch_exit_5(capsys, monkeypatch):
     assert "MISMATCH" in err
 
 
-@pytest.mark.deep
 def test_verify_deep_n5(capsys):
-    doc = run_json(capsys, "verify", "--max-n", "1", "--deep-n5")
+    code, out, err = run(capsys, "verify", "--max-n", "1", "--deep-n5")
+    doc = json.loads(out)
+    assert code == 0 and err == ""
     assert doc["result"]["ok"] is True
     assert doc["result"]["deep_n5_count"] == "1292276"
+    assert doc["result"]["deep_n5_expected"] == "1292276"
 
 
 def test_no_subcommand_exit_2(capsys):

@@ -1,26 +1,26 @@
 import json
-import random
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import canalis
 from canalis import (
     RangeError,
-    TruthTable,
     census_to_json,
     class_prob_from_census,
-    classify,
     count_both_ways,
     count_canalizing,
-    count_canalizing_in_range,
     count_exact_k,
-    is_canalizing,
     prob_both_ways,
     prob_canalizing,
     prob_exactly_k,
     prob_from_census,
 )
-from canalis.oracle import both_ways_prob_from_census, word_is_canalizing_n5
+from canalis.oracle import _profile_counts, both_ways_prob_from_census
 
 HALF = Fraction(1, 2)
 BIASES = [Fraction(1, 10), Fraction(1, 4), HALF, Fraction(3, 5), Fraction(9, 10)]
@@ -113,41 +113,45 @@ def test_census_json_document(census):
     assert all(isinstance(v, str) for v in parsed["by_exact_k"].values())
 
 
-def test_word_test_matches_classify_sampled():
-    rng = random.Random(99)
-    for _ in range(500):
-        word = rng.getrandbits(32)
-        assert word_is_canalizing_n5(word) == is_canalizing(TruthTable(5, word))
+def _tallies_from_profiles(n):
+    """Canalizing count, by_exact_k and both_ways read off the profile DP.
+
+    A half with status 2 (all-1) forces output 1, one with status 1 forces
+    0; constants canalize on all n variables, in one direction only.
+    """
+    canalizing, both_ways = 0, 0
+    by_exact_k = {k: 0 for k in range(1, n + 1)}
+    for (whole, halves), count in _profile_counts(n).items():
+        fields = [halves >> 2 * j & 3 for j in range(2 * n)]
+        if not any(fields):
+            continue
+        canalizing += count
+        by_exact_k[sum(1 for i in range(n) if fields[2 * i] or fields[2 * i + 1])] += count
+        if not whole and 1 in fields and 2 in fields:
+            both_ways += count
+    return canalizing, by_exact_k, both_ways
 
 
-def test_complement_closure_sampled():
-    rng = random.Random(123)
-    full = (1 << 32) - 1
-    for _ in range(500):
-        word = rng.getrandbits(32)
-        assert word_is_canalizing_n5(word) == word_is_canalizing_n5(full ^ word)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_profile_dp_matches_census(n, census):
+    c = census(n)
+    assert _tallies_from_profiles(n) == (c.canalizing, c.by_exact_k, c.both_ways)
 
 
-def test_range_count_deterministic_and_matches_classify():
-    first = count_canalizing_in_range(0, 1 << 16)
-    second = count_canalizing_in_range(0, 1 << 16)
-    assert first == second
-    by_classify = sum(
-        1 for word in range(1 << 16) if is_canalizing(TruthTable(5, word))
-    )
-    assert first == by_classify
+def test_profile_dp_counts_every_table_once():
+    for n in range(1, 6):
+        assert sum(_profile_counts(n).values()) == 1 << (1 << n)
 
 
-def test_range_counts_merge_associatively():
-    whole = count_canalizing_in_range(0, 1 << 14)
-    parts = count_canalizing_in_range(0, 1 << 13) + count_canalizing_in_range(
-        1 << 13, 1 << 14
-    )
-    assert whole == parts
+def test_profile_dp_matches_closed_form_n6():
+    # an independent route one size above the published n = 5 value
+    dp = sum(count for (_, halves), count in _profile_counts(6).items() if halves)
+    assert dp == count_canalizing(6) == 103071426294
 
 
-def test_range_validation():
-    with pytest.raises(ValueError):
-        count_canalizing_in_range(-1, 10)
-    with pytest.raises(ValueError):
-        count_canalizing_in_range(0, (1 << 32) + 1)
+def test_import_leaves_multiprocessing_unloaded():
+    # the n = 5 count needs no process pool
+    env = {**os.environ, "PYTHONPATH": str(Path(canalis.__file__).parents[1])}
+    code = "import sys, canalis; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

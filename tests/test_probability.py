@@ -125,6 +125,24 @@ def test_class_numerators_refuse_broken_partition(monkeypatch):
         category_weights(3, HALF)
 
 
+@pytest.mark.parametrize(
+    "p", [HALF, Fraction(1, 3), Fraction(6, 35), Fraction(1, 12), Fraction(99, 100)]
+)
+def test_breakdown_in_lowest_terms_as_fraction_reduces(p):
+    # the breakdown divides out only b's primes; Fraction's full gcd is the reference
+    zero_classes = 0
+    for n in range(1, 13):
+        c, bc, pce, nce = probability._class_numerators(n, p)
+        b = prob_breakdown(n, p)
+        pairs = [(b.pr_c, c), (b.pr_bc, bc)]
+        pairs += [(b.pr_pce[k], pce[k]) for k in pce] + [(b.pr_nce[k], nce[k]) for k in nce]
+        for value, num in pairs:
+            want = Fraction(num, p.denominator ** (1 << n))
+            assert (value.numerator, value.denominator) == (want.numerator, want.denominator)
+        zero_classes += sum(1 for _, num in pairs if not num)
+    assert zero_classes
+
+
 @pytest.mark.parametrize("n", range(1, 17))
 def test_uniform_measure_identity(n):
     assert prob_canalizing(n, HALF) * (1 << (1 << n)) == count_canalizing(n)
@@ -159,8 +177,8 @@ def test_bias_validation():
 
 
 def test_cap_env_override(monkeypatch):
-    monkeypatch.setenv("CANALIS_MAX_N", "18")
-    assert prob_canalizing(17, HALF) * (1 << (1 << 17)) == count_canalizing(17, max_n=17)
+    monkeypatch.setenv("CANALIS_MAX_N", "17")
+    assert prob_canalizing(17, HALF) * (1 << (1 << 17)) == count_canalizing(17)
     monkeypatch.setenv("CANALIS_MAX_N", "2")
     with pytest.raises(RangeError):
         prob_canalizing(3, HALF)
