@@ -3,7 +3,8 @@
 Every count is the p = 1/2 numerator, over 2^(2^n), of the one
 inclusion-exclusion sum in ``probability``: there all functions are equally
 likely. All values are plain Python integers built with bit shifts, so
-precision is unbounded and floating point never enters.
+precision is unbounded and floating point never enters. The rounded
+form shares ``probability._round_significant`` with the decimal output.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from .limits import DEFAULT_COUNT_MAX_N, RangeError, check_n
-from .probability import _BiasPowers, _canalizing_num, _exactly_num
+from .probability import _BiasPowers, _canalizing_num, _exactly_num, _round_significant
 
 __all__ = [
     "count_canalizing",
@@ -98,40 +99,10 @@ def asymptotic_bounds(n: int) -> AsymptoticBounds:
 
 def scientific_string(value: int, digits: int = 10) -> str:
     """Round an exact count to scientific notation with ``digits``
-    significant digits (half-even), e.g. '4.168515213e+78'.
-
-    The digits are found in integers, in time near linear in the size of
-    ``value``: with ``e`` the number of dropped digits, the leading digits
-    are value // 10^e = (value >> e) // 5^e, and the dropped part is the
-    remainder times 2^e plus the low e bits. The divisor 5^e is 30% shorter
-    than 10^e, and the division's cost grows with it. A value of at most
-    ``digits`` digits is written out in full, as ``decimal`` does ('1.20e+2').
-    """
-    if digits < 1:
-        raise ValueError(f"digits must be >= 1, got {digits}")
-    sign, value = ("-", -value) if value < 0 else ("", value)
-    limit = 10**digits
-    if value < limit:
-        text = str(value)
-        exponent = len(text) - 1
-    else:
-        # (b - 1) log10(2) >= (b - 1) * 30102999566 / 10^11 digits follow
-        # the first: a lower bound on the digit count, corrected upwards
-        e = max(1, (value.bit_length() - 1) * 30102999566 // 10**11 + 1 - digits)
-        while True:
-            five = 5**e
-            head, rest = divmod(value >> e, five)
-            if head < limit:
-                break
-            e += 1
-        dropped = rest << e | (value & ((1 << e) - 1))
-        half = five << (e - 1)  # 10^e / 2
-        if dropped > half or (dropped == half and head & 1):
-            head += 1
-            if head == limit:
-                head //= 10
-                e += 1
-        text = str(head)
-        exponent = e + digits - 1
+    significant digits (half-even) by ``_round_significant``, e.g.
+    '4.168515213e+78'. A value of at most ``digits`` digits is written out
+    in full, as ``decimal`` does ('1.20e+2')."""
+    head, e = _round_significant(abs(value), 1, digits)
+    text = str(head)
     mantissa = (text[0] + "." + text[1:]) if len(text) > 1 else text
-    return f"{sign}{mantissa}e+{exponent}"
+    return f"{'-' if value < 0 else ''}{mantissa}e+{e + len(text) - 1}"

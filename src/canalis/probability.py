@@ -9,7 +9,8 @@ reduce once at the end. These numerators are the only implementation of
 the paper's inclusion-exclusion sums: at p = 1/2 the denominator is
 2^(2^n), so each numerator is a count of functions, and
 ``exact_counts`` takes its counts from here. Decimal output is rounding
-of the exact value (half-even).
+of the exact value (half-even), and ``_round_significant`` is the one
+rounding for both modules.
 
 Direction handling: every negative-direction formula is the positive one
 with the bias complemented (the lone mixed term p^h (1-p)^h is symmetric),
@@ -267,26 +268,32 @@ def prob_breakdown(n: int, p) -> ProbBreakdown:
     )
 
 
-def decimal_string(value: Fraction, digits: int = 12) -> str:
-    """Decimal rendering of an exact rational, rounded half-even to
-    ``digits`` significant digits, formatted as ``decimal``'s division at
-    that precision gives it (e.g. '0.875', '1.0E+2').
+def _round_significant(a: int, b: int, digits: int) -> tuple[int, int]:
+    """(head, e) with head * 10^e equal to a / b >= 0 rounded half-even to
+    ``digits`` significant digits: the one rounding behind ``decimal_string``
+    and ``exact_counts.scientific_string``.
 
-    Only the ``digits`` leading digits of a / b are formed, in integers, in
-    time near linear in the size of ``value``. An exact quotient keeps
-    trailing zeros down to the units digit (``decimal``'s ideal exponent 0).
+    Only the leading digits of a / b are formed, in integers, in time near
+    linear in the size of a and b. For e >= 0, a // (b 10^e) is
+    (a >> e) // (b 5^e), with the remainder rebuilt from the low e bits:
+    5^e is 30% shorter than 10^e, and the division's cost grows with it. An
+    exact quotient keeps trailing zeros down to the units digit
+    (``decimal``'s ideal exponent 0).
     """
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
-    a, b = abs(value.numerator), value.denominator
-    if not a:
-        return "0"
     limit = 10**digits
     # a / b > 2^d for d = len(a) - len(b) - 1 bits, so floor(d log10(2)) - 1 <= floor(log10(a / b))
     # (1 to spare for log10(2) rounded down at d < 0): e is at most the last kept digit's exponent
     e = (a.bit_length() - b.bit_length() - 1) * 30102999566 // 10**11 - digits
-    num, den = (a, b * 10**e) if e >= 0 else (a * 10**-e, b)
-    head, rest = divmod(num, den)
+    if e >= 0:
+        den = b * 5**e
+        head, rest = divmod(a >> e, den)
+        rest = rest << e | (a & ((1 << e) - 1))
+        den <<= e
+    else:
+        den = b
+        head, rest = divmod(a * 10**-e, den)
     while head >= limit:
         head, low = divmod(head, 10)
         rest += low * den
@@ -300,4 +307,13 @@ def decimal_string(value: Fraction, digits: int = 12) -> str:
     while not rest and e < 0 and head % 10 == 0:
         head //= 10
         e += 1
+    return head, e
+
+
+def decimal_string(value: Fraction, digits: int = 12) -> str:
+    """Decimal rendering of an exact rational, rounded half-even to
+    ``digits`` significant digits by ``_round_significant``, formatted as
+    ``decimal``'s division at that precision gives it (e.g. '0.875',
+    '1.0E+2')."""
+    head, e = _round_significant(abs(value.numerator), value.denominator, digits)
     return str(Decimal((int(value < 0), Decimal(head).as_tuple().digits, e)))

@@ -124,6 +124,9 @@ def make_table(n: int, bits) -> TruthTable:
     return TruthTable(n, packed)
 
 
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
+
 def hex_width(n: int) -> int:
     """Number of hex digits in the text form of an n-variable table."""
     return -(-(1 << n) // 4)
@@ -141,10 +144,10 @@ def from_hex(n: int, text: str) -> TruthTable:
         raise ValueError(
             f"expected {expected} hex digits for n={n}, got {len(cleaned)} in {text!r}"
         )
-    try:
-        value = int(cleaned, 16)
-    except ValueError as exc:
-        raise ValueError(f"not a hex string: {text!r}") from exc
+    # int(.., 16) alone would also take a sign, a 0x prefix and underscores
+    if not set(cleaned) <= _HEX_DIGITS:
+        raise ValueError(f"not a hex string: {text!r}")
+    value = int(cleaned, 16)
     if value >= (1 << (1 << n)):
         raise ValueError(f"hex value {text!r} has bits beyond table size 2^{n}")
     return TruthTable(n, value)

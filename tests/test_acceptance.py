@@ -125,7 +125,13 @@ def test_c06_partition_identity():
     for n in range(1, 17):
         for p in ORACLE_BIASES:
             b = prob_breakdown(n, p)
-            if b.pr_bc + sum(b.pr_pce.values()) + sum(b.pr_nce.values()) != b.pr_c:
+            classes = [b.pr_bc, *b.pr_pce.values(), *b.pr_nce.values()]
+            # over the common denominator b^(2^n) the identity is an integer
+            # equality; summing Fractions would reduce at every step
+            common = p.denominator ** (1 << n)
+            if any(common % v.denominator for v in [b.pr_c, *classes]) or sum(
+                v.numerator * (common // v.denominator) for v in classes
+            ) != b.pr_c.numerator * (common // b.pr_c.denominator):
                 bad.append((n, str(p)))
     elapsed = time.perf_counter() - start
     ok = not bad and elapsed < 30.0

@@ -63,6 +63,9 @@ def test_count_range_error_exit_3(capsys):
 def test_count_usage_error_exit_2(capsys):
     code, _, _ = run(capsys, "count", "--n", "abc")
     assert code == 2
+    for fmt in ("json", "csv"):
+        code, out, _ = run(capsys, "count", "--n", "3", "--table", "--scientific", "--format", fmt)
+        assert code == 2 and not out, fmt
 
 
 def test_count_env_cap(capsys, monkeypatch):
@@ -135,6 +138,9 @@ def test_classify_identity_both_ways(capsys):
 def test_classify_malformed_hex_exit_2(capsys):
     code, _, _ = run(capsys, "classify", "--n", "2", "--hex", "zz")
     assert code == 2
+    for text in ("-fff", "+fff", "0xff", "f_ff"):
+        code, _, _ = run(capsys, "classify", "--n", "4", f"--hex={text}")
+        assert code == 2, text
 
 
 def test_generate_envelope_and_soundness(capsys):
@@ -215,14 +221,11 @@ def test_generate_seed_drawn_and_echoed(capsys):
 
 
 def test_generate_starvation_exit_4(capsys, monkeypatch):
-    class Starving:
-        def __init__(self, config):
-            self.config = config
+    def starving_draw(self):
+        raise RejectionLimitExceeded(2, 1, self.config.max_rejections)
 
-        def draw(self):
-            raise RejectionLimitExceeded(2, 1, self.config.max_rejections)
-
-    monkeypatch.setattr("canalis.cli.CanalizingGenerator", Starving)
+    # patched on the real class, so the CLI reaches it through draws()
+    monkeypatch.setattr(canalis.CanalizingGenerator, "draw", starving_draw)
     code, _, err = run(
         capsys, "generate", "--n", "2", "--p", "1/2", "--seed", "1"
     )

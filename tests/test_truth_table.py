@@ -271,6 +271,9 @@ def test_from_hex_malformed():
         from_hex(3, "e")  # wrong digit count
     with pytest.raises(ValueError):
         from_hex(1, "f")  # bits beyond the 2-entry table
+    for text in ("-fff", "+fff", "0xff", "f_ff"):  # int(.., 16) takes these
+        with pytest.raises(ValueError):
+            from_hex(4, text)
 
 
 def test_evaluate_bounds():
