@@ -27,6 +27,7 @@ from .generator import CanalizingGenerator, GeneratorConfig, RejectionLimitExcee
 from .limits import RangeError
 from .oracle import (
     N5_CANALIZING_COUNT,
+    ORACLE_MAX_N,
     both_ways_prob_from_census,
     census_to_json,
     class_prob_from_census,
@@ -222,12 +223,10 @@ def cmd_generate(args) -> int:
     config = GeneratorConfig(
         n=args.n, p=bias, seed=seed, max_rejections=args.max_rejections
     )
-    gen = CanalizingGenerator(config)
-    draws = gen.draws(args.count)
-    tables = [to_hex(table) for table, _ in draws]
+    draws = CanalizingGenerator(config).draws(args.count)
     if args.format == "lines":
-        for line in tables:
-            print(line)
+        for table, _ in draws:
+            print(to_hex(table))
         return EXIT_OK
     params = {
         "n": args.n,
@@ -236,113 +235,83 @@ def cmd_generate(args) -> int:
         "seed": seed,
         "max_rejections": args.max_rejections,
     }
+    tables, records = [], []
+    for table, record in draws:
+        tables.append(to_hex(table))
+        if args.records:
+            records.append(
+                {
+                    "q": record.q,
+                    "r": record.r,
+                    "subset": list(record.subset),
+                    "values": {str(i): v for i, v in sorted(record.values.items())},
+                    "rejections": record.rejections,
+                }
+            )
     result: dict = {"tables": tables}
     if args.records:
-        result["records"] = [
-            {
-                "q": record.q,
-                "r": record.r,
-                "subset": list(record.subset),
-                "values": {str(i): v for i, v in sorted(record.values.items())},
-                "rejections": record.rejections,
-            }
-            for _, record in draws
-        ]
+        result["records"] = records
     _emit(_envelope("generate", params, result))
     return EXIT_OK
 
 
-def _verify_checks(max_n: int, emit_census: bool):
-    """Yield (name, ok, expected, actual, extra) over all cross-checks,
-    cheapest first; censuses never consult the closed forms."""
-    for n in range(1, max_n + 1):
-        census = enumerate_classify(n)
-        expected = count_canalizing(n)
+def _verify_checks(census):
+    """Yield (name, closed form, census value) for every check of one
+    census, cheapest first; the census never consults the closed forms."""
+    n = census.n
+    yield f"count_canalizing n={n}", count_canalizing(n), census.canalizing
+    for k in range(1, n + 1):
+        yield f"count_exact_k n={n} k={k}", count_exact_k(n, k), census.by_exact_k[k]
+    yield f"count_both_ways n={n}", count_both_ways(n), census.both_ways
+    for p in VERIFY_BIASES:
+        yield f"prob_canalizing n={n} p={p}", prob_canalizing(n, p), prob_from_census(census, p)
         yield (
-            f"count_canalizing n={n}",
-            census.canalizing == expected,
-            str(expected),
-            str(census.canalizing),
-            census_to_json(census) if emit_census else None,
+            f"prob_both_ways n={n} p={p}",
+            prob_both_ways(n, p),
+            both_ways_prob_from_census(census, p),
         )
         for k in range(1, n + 1):
-            expected = count_exact_k(n, k)
-            yield (
-                f"count_exact_k n={n} k={k}",
-                census.by_exact_k[k] == expected,
-                str(expected),
-                str(census.by_exact_k[k]),
-                None,
-            )
-        expected = count_both_ways(n)
-        yield (
-            f"count_both_ways n={n}",
-            census.both_ways == expected,
-            str(expected),
-            str(census.both_ways),
-            None,
-        )
-        for p in VERIFY_BIASES:
-            expected = prob_canalizing(n, p)
-            actual = prob_from_census(census, p)
-            yield (f"prob_canalizing n={n} p={p}", expected == actual, str(expected), str(actual), None)
-            bw_expected = prob_both_ways(n, p)
-            bw_actual = both_ways_prob_from_census(census, p)
-            yield (
-                f"prob_both_ways n={n} p={p}",
-                bw_expected == bw_actual,
-                str(bw_expected),
-                str(bw_actual),
-                None,
-            )
-            for k in range(1, n + 1):
-                for direction in ("positive", "negative"):
-                    e_k = prob_exactly_k(n, k, p, direction)
-                    a_k = class_prob_from_census(census, k, direction, p)
-                    yield (
-                        f"prob_exactly_k n={n} k={k} {direction} p={p}",
-                        e_k == a_k,
-                        str(e_k),
-                        str(a_k),
-                        None,
-                    )
+            for direction in ("positive", "negative"):
+                yield (
+                    f"prob_exactly_k n={n} k={k} {direction} p={p}",
+                    prob_exactly_k(n, k, p, direction),
+                    class_prob_from_census(census, k, direction, p),
+                )
+
+
+def _verify_mismatch(params: dict, result: dict, name: str, expected, actual) -> int:
+    _emit(_envelope("verify", params, result))
+    print(f"verify: MISMATCH in {name}: expected {expected}, got {actual}", file=sys.stderr)
+    return EXIT_MISMATCH
 
 
 def cmd_verify(args) -> int:
-    if not 1 <= args.max_n <= 4:
-        print("verify: --max-n must be between 1 and 4", file=sys.stderr)
+    if not 1 <= args.max_n <= ORACLE_MAX_N:
+        print(f"verify: --max-n must be between 1 and {ORACLE_MAX_N}", file=sys.stderr)
         return EXIT_USAGE
     params = {"max_n": args.max_n, "deep_n5": args.deep_n5}
-    checks = []
+    passed = 0
     censuses = []
-    for name, ok, expected, actual, census_doc in _verify_checks(args.max_n, args.emit_census):
-        if census_doc is not None:
-            censuses.append(census_doc)
-        if not ok:
-            result = {
-                "ok": False,
-                "first_disagreement": {"check": name, "expected": expected, "actual": actual},
-                "checks_passed": len(checks),
-            }
-            _emit(_envelope("verify", params, result))
-            print(f"verify: MISMATCH in {name}: expected {expected}, got {actual}", file=sys.stderr)
-            return EXIT_MISMATCH
-        checks.append(name)
-    result = {"ok": True, "checks_passed": len(checks)}
+    for n in range(1, args.max_n + 1):
+        census = enumerate_classify(n)
+        censuses.append(census)
+        for name, expected, actual in _verify_checks(census):
+            if expected != actual:
+                expected, actual = str(expected), str(actual)
+                disagreement = {"check": name, "expected": expected, "actual": actual}
+                result = {"ok": False, "first_disagreement": disagreement, "checks_passed": passed}
+                return _verify_mismatch(params, result, name, expected, actual)
+            passed += 1
+    result = {"ok": True, "checks_passed": passed}
     if args.emit_census:
-        result["censuses"] = censuses
+        result["censuses"] = [census_to_json(census) for census in censuses]
     if args.deep_n5:
         deep = deep_count_n5()
         result["deep_n5_count"] = str(deep)
         result["deep_n5_expected"] = str(N5_CANALIZING_COUNT)
         if deep != N5_CANALIZING_COUNT:
             result["ok"] = False
-            _emit(_envelope("verify", params, result))
-            print(
-                f"verify: MISMATCH in deep n=5 count: expected {N5_CANALIZING_COUNT}, got {deep}",
-                file=sys.stderr,
-            )
-            return EXIT_MISMATCH
+            return _verify_mismatch(params, result, "deep n=5 count", N5_CANALIZING_COUNT, deep)
     _emit(_envelope("verify", params, result))
     return EXIT_OK
 

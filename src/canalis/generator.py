@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -381,5 +382,7 @@ class CanalizingGenerator:
     def draw(self) -> tuple[TruthTable, DrawRecord]:
         return generate(self.config, self.rng, self.weights)
 
-    def draws(self, count: int) -> list[tuple[TruthTable, DrawRecord]]:
-        return [self.draw() for _ in range(count)]
+    def draws(self, count: int) -> Iterator[tuple[TruthTable, DrawRecord]]:
+        """The next ``count`` draws, each made when it is asked for."""
+        for _ in range(count):
+            yield self.draw()

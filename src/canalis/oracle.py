@@ -1,21 +1,24 @@
 """Ground truth for the closed forms, computed without them.
 
-The census enumerates every function of n <= 4 variables and classifies
-each one with `truth_table.classify` alone; none of the counting or
-probability formulas are consulted, so agreement between the two routes
-is evidence, not circularity. Weight enumerators (class member counts by
-number of ones) turn the census into exact probabilities at any rational
-bias.
+Two counters tally tables by profile: the table's status, the status of
+each of its 2n halves x_i = s, and its weight. A status is 0 mixed, 1
+all-0 or 2 all-1, so a half of status 2 forces output 1 and one of
+status 1 forces output 0. One reader, `_census`, turns either tally into
+every class count and weight enumerator; none of the counting or
+probability formulas are consulted, so agreement with them is evidence,
+not circularity. Weight enumerators (class member counts by number of
+ones) turn a census into exact probabilities at any rational bias.
 
-For n = 5 the count of canalizing tables comes from a DP over half-table
-profiles instead: the status (all-0, all-1 or mixed) of every half of a
-table follows from the statuses in its two halves under the top variable,
-so tables are counted by profile level by level, again without any
-closed form.
+For n <= 4, `enumerate_classify` reads the profile of every table off
+its half-cube masks. For n = 5 the tally comes from a DP instead: the
+statuses of every half of a table follow from the statuses in its two
+halves under the top variable, so tables are counted by profile level by
+level.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,7 +26,7 @@ import numpy  # noqa: F401  unused; perfbench's import-time report reads numpy's
 
 from .limits import RangeError
 from .probability import _direction_positive, validate_bias
-from .truth_table import TruthTable, classify
+from .truth_table import variable_mask
 
 __all__ = [
     "ClassCensus",
@@ -63,43 +66,63 @@ def enumerate_classify(n: int) -> ClassCensus:
             f"exhaustive classification supports 1 <= n <= {ORACLE_MAX_N} "
             f"(use deep_count_n5 for n = 5), got {n!r}"
         )
-    census = ClassCensus(n=n, total_functions=1 << (1 << n))
-    census.by_exact_k = {k: 0 for k in range(1, n + 1)}
-    census.pce_by_k = {k: 0 for k in range(1, n + 1)}
-    census.nce_by_k = {k: 0 for k in range(1, n + 1)}
-    census.weight_enum_canalizing = {w: 0 for w in range((1 << n) + 1)}
+    return _census(n, Counter(key for _, key in _table_profiles(n)))
 
-    for bits in range(census.total_functions):
-        profile = classify(TruthTable(n, bits))
-        if not profile.canalizing:
+
+def _table_profiles(n: int):
+    """Yield (bits, (whole, halves, weight)) for every n-variable table,
+    with the profile laid out as in `_profile_counts`."""
+    fields = [(variable_mask(n, i, s), 4 * i + 2 * s) for i in range(n) for s in (0, 1)]
+    for bits in range(1 << (1 << n)):
+        halves = 0
+        for mask, shift in fields:
+            half = bits & mask
+            if half == mask:
+                halves |= 2 << shift
+            elif not half:
+                halves |= 1 << shift
+        # the whole table is the union of its two halves under x_0
+        yield bits, (halves & halves >> 2 & 3, halves, bits.bit_count())
+
+
+def _census(n: int, tally) -> ClassCensus:
+    """Read every class count and weight enumerator off a profile tally.
+
+    A table is canalizing iff some half forces, and both-ways iff halves
+    force in both directions; otherwise its direction is the one its
+    forcing halves share, and k counts the variables with a forcing half.
+    A constant needs no special case: each of its 2n halves forces its
+    value, so it lands in one direction with k = n.
+    """
+    census = ClassCensus(n=n, total_functions=1 << (1 << n))
+    census.by_exact_k = dict.fromkeys(range(1, n + 1), 0)
+    census.pce_by_k = dict.fromkeys(range(1, n + 1), 0)
+    census.nce_by_k = dict.fromkeys(range(1, n + 1), 0)
+    census.weight_enum_canalizing = dict.fromkeys(range((1 << n) + 1), 0)
+    low = int("01" * 2 * n, 2)  # the low bit of every status field
+    for (_, halves, weight), count in tally.items():
+        if not halves:
             continue
-        weight = bits.bit_count()
-        census.canalizing += 1
-        census.by_exact_k[profile.num_canalizing_vars] += 1
-        census.weight_enum_canalizing[weight] += 1
-        if profile.is_constant:
-            k = n
-            if profile.constant_value == 1:
-                census.pce_by_k[k] += 1
-                _bump(census.weight_enum_pce, (k, weight))
-            else:
-                census.nce_by_k[k] += 1
-                _bump(census.weight_enum_nce, (k, weight))
-        elif profile.positive and profile.negative:
-            census.both_ways += 1
-        elif profile.positive:
-            k = profile.num_canalizing_vars
-            census.pce_by_k[k] += 1
-            _bump(census.weight_enum_pce, (k, weight))
+        k = sum(1 for i in range(n) if halves >> 4 * i & 15)
+        census.canalizing += count
+        census.by_exact_k[k] += count
+        census.weight_enum_canalizing[weight] += count
+        forces_1, forces_0 = halves & low << 1, halves & low
+        if forces_1 and forces_0:
+            census.both_ways += count
+            continue
+        if forces_1:
+            by_k, enum = census.pce_by_k, census.weight_enum_pce
         else:
-            k = profile.num_canalizing_vars
-            census.nce_by_k[k] += 1
-            _bump(census.weight_enum_nce, (k, weight))
+            by_k, enum = census.nce_by_k, census.weight_enum_nce
+        by_k[k] += count
+        enum[k, weight] = enum.get((k, weight), 0) + count
     return census
 
 
-def _bump(counter: dict, key) -> None:
-    counter[key] = counter.get(key, 0) + 1
+def _at_k(enum: dict[tuple[int, int], int], k: int) -> dict[int, int]:
+    """The weight enumerator of one exactly-k class."""
+    return {w: c for (kk, w), c in enum.items() if kk == k}
 
 
 def _weighted_prob(pairs, n: int, p: Fraction) -> Fraction:
@@ -119,8 +142,7 @@ def class_prob_from_census(census: ClassCensus, k: int, direction, p) -> Fractio
     """Exact probability of one exactly-k single-direction class."""
     p = validate_bias(p)
     enum = census.weight_enum_pce if _direction_positive(direction) else census.weight_enum_nce
-    pairs = [(w, c) for (kk, w), c in enum.items() if kk == k]
-    return _weighted_prob(pairs, census.n, p)
+    return _weighted_prob(_at_k(enum, k).items(), census.n, p)
 
 
 def both_ways_prob_from_census(census: ClassCensus, p) -> Fraction:
@@ -136,33 +158,24 @@ def both_ways_prob_from_census(census: ClassCensus, p) -> Fraction:
 
 def census_to_json(census: ClassCensus) -> dict:
     """JSON-ready census document; every count is a decimal string."""
+
+    def strings(counts: dict[int, int]) -> dict[str, str]:
+        return {str(key): str(value) for key, value in sorted(counts.items())}
+
+    def by_k(enum: dict[tuple[int, int], int]) -> dict[str, dict[str, str]]:
+        return {str(k): strings(_at_k(enum, k)) for k in range(1, census.n + 1)}
+
     return {
         "n": census.n,
         "total_functions": str(census.total_functions),
         "canalizing": str(census.canalizing),
-        "by_exact_k": {str(k): str(v) for k, v in sorted(census.by_exact_k.items())},
+        "by_exact_k": strings(census.by_exact_k),
         "both_ways": str(census.both_ways),
-        "pce_by_k": {str(k): str(v) for k, v in sorted(census.pce_by_k.items())},
-        "nce_by_k": {str(k): str(v) for k, v in sorted(census.nce_by_k.items())},
-        "weight_enum_canalizing": {
-            str(w): str(c) for w, c in sorted(census.weight_enum_canalizing.items())
-        },
-        "weight_enum_pce": {
-            str(k): {
-                str(w): str(c)
-                for (kk, w), c in sorted(census.weight_enum_pce.items())
-                if kk == k
-            }
-            for k in range(1, census.n + 1)
-        },
-        "weight_enum_nce": {
-            str(k): {
-                str(w): str(c)
-                for (kk, w), c in sorted(census.weight_enum_nce.items())
-                if kk == k
-            }
-            for k in range(1, census.n + 1)
-        },
+        "pce_by_k": strings(census.pce_by_k),
+        "nce_by_k": strings(census.nce_by_k),
+        "weight_enum_canalizing": strings(census.weight_enum_canalizing),
+        "weight_enum_pce": by_k(census.weight_enum_pce),
+        "weight_enum_nce": by_k(census.weight_enum_nce),
     }
 
 
@@ -170,29 +183,30 @@ def census_to_json(census: ClassCensus) -> dict:
 # n = 5 profile DP
 
 
-def _profile_counts(n: int) -> dict[tuple[int, int], int]:
-    """Number of n-variable tables with each profile (whole, halves).
+def _profile_counts(n: int) -> dict[tuple[int, int, int], int]:
+    """Number of n-variable tables with each profile (whole, halves, weight).
 
     A status is 0 mixed, 1 all-0 or 2 all-1, so the AND of two statuses is
     the status of the union of the two parts. ``whole`` is the table's
     status; ``halves`` holds the status of the half x_i = s in bits
-    4i + 2s. A table of m + 1 variables is a pair (f0, f1) split at x_m:
-    its halves under x_m are f0 and f1 themselves, and each other half is
-    the union of the same half in f0 and in f1.
+    4i + 2s; ``weight`` is the number of ones. A table of m + 1 variables
+    is a pair (f0, f1) split at x_m: its halves under x_m are f0 and f1
+    themselves, each other half is the union of the same half in f0 and
+    in f1, and its weight is the sum of theirs.
     """
-    level = {(1, 0): 1, (2, 0): 1}
+    level = {(1, 0, 0): 1, (2, 0, 1): 1}
     for m in range(n):
         items = list(level.items())
-        nxt: dict[tuple[int, int], int] = {}
-        for (w0, h0), c0 in items:
-            for (w1, h1), c1 in items:
-                key = (w0 & w1, (h0 & h1) | w0 << 4 * m | w1 << 4 * m + 2)
+        nxt: dict[tuple[int, int, int], int] = {}
+        for (s0, h0, w0), c0 in items:
+            for (s1, h1, w1), c1 in items:
+                key = (s0 & s1, (h0 & h1) | s0 << 4 * m | s1 << 4 * m + 2, w0 + w1)
                 nxt[key] = nxt.get(key, 0) + c0 * c1
         level = nxt
     return level
 
 
 def deep_count_n5() -> int:
-    """Count the canalizing five-variable tables, those with some constant
-    half, by the profile DP; no closed form is consulted."""
-    return sum(count for (_, halves), count in _profile_counts(5).items() if halves)
+    """Count the canalizing five-variable tables by the profile DP; no
+    closed form is consulted."""
+    return _census(5, _profile_counts(5)).canalizing

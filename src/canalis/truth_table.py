@@ -165,13 +165,9 @@ def is_canalizing_on(table: TruthTable, i: int, s: int, v: int) -> bool:
 def is_canalizing(table: TruthTable) -> bool:
     """True iff some (variable, value) pair forces the output.
 
-    Constants are canalizing: the forcing condition holds vacuously in
-    their output's direction.
+    Constants are canalizing: every half of a constant forces its value.
     """
     bits = table.bits
-    full = (1 << (1 << table.n)) - 1
-    if bits == 0 or bits == full:
-        return True
     for i in range(table.n):
         for s in (0, 1):
             half = bits & variable_mask(table.n, i, s)
@@ -190,19 +186,6 @@ def classify(table: TruthTable) -> CanalizingProfile:
     canalizing set.
     """
     n, bits = table.n, table.bits
-    full = (1 << (1 << n)) - 1
-    if bits == 0 or bits == full:
-        value = 1 if bits else 0
-        pairs = frozenset((i, s) for i in range(n) for s in (0, 1))
-        return CanalizingProfile(
-            positive=pairs if value == 1 else frozenset(),
-            negative=pairs if value == 0 else frozenset(),
-            both_ways_variable=None,
-            is_constant=True,
-            constant_value=value,
-            num_canalizing_vars=n,
-        )
-
     positive = set()
     negative = set()
     for i in range(n):
@@ -217,15 +200,16 @@ def classify(table: TruthTable) -> CanalizingProfile:
     both_ways = None
     if positive and negative:
         shared = {i for i, _ in positive} & {i for i, _ in negative}
-        # nonconstant: both directions can only live on one shared variable
+        # only a projection or its negation: one shared variable
         both_ways = next(iter(shared))
 
+    is_constant = bits in (0, (1 << (1 << n)) - 1)
     variables = {i for i, _ in positive} | {i for i, _ in negative}
     return CanalizingProfile(
         positive=frozenset(positive),
         negative=frozenset(negative),
         both_ways_variable=both_ways,
-        is_constant=False,
-        constant_value=None,
+        is_constant=is_constant,
+        constant_value=(1 if bits else 0) if is_constant else None,
         num_canalizing_vars=len(variables),
     )

@@ -1,11 +1,14 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import canalis
-from canalis import RejectionLimitExceeded, classify, from_hex
+from canalis import RejectionLimitExceeded, classify, from_hex, to_hex
 from canalis.cli import main
 
 
@@ -233,6 +236,27 @@ def test_generate_starvation_exit_4(capsys, monkeypatch):
     assert "gave up" in err
 
 
+def test_generate_lines_starvation_keeps_printed_lines(capsys, monkeypatch):
+    real_draw = canalis.CanalizingGenerator.draw
+    made = []
+
+    def draw_then_starve(self):
+        if len(made) == 2:
+            raise RejectionLimitExceeded(2, 1, self.config.max_rejections)
+        made.append(real_draw(self))
+        return made[-1]
+
+    monkeypatch.setattr(canalis.CanalizingGenerator, "draw", draw_then_starve)
+    argv = ("generate", "--n", "2", "--p", "1/2", "--count", "5", "--seed", "3")
+    code, out, err = run(capsys, *argv, "--format", "lines")
+    assert code == 4 and "gave up" in err
+    # lines are printed as they are drawn, so the two drawn ones stay
+    assert out.splitlines() == [to_hex(table) for table, _ in made]
+    made.clear()
+    code, out, _ = run(capsys, *argv)
+    assert code == 4 and out == ""
+
+
 def test_verify_passes(capsys):
     doc = run_json(capsys, "verify", "--max-n", "2")
     assert doc["result"]["ok"] is True
@@ -259,6 +283,37 @@ def test_verify_detects_mismatch_exit_5(capsys, monkeypatch):
     assert doc["result"]["ok"] is False
     assert "first_disagreement" in doc["result"]
     assert "MISMATCH" in err
+
+
+# (argv, the canalis.cli name patched to disagree or None, exit code,
+# SHA-256 of stdout). The verify envelope is stable API: these digests may
+# change only with a deliberate, recorded change of its bytes.
+GOLDEN_VERIFY = [
+    (("--max-n", "4"), None, 0, "3e643eed4d8e686967ef26364ff00a15720761fc0bcefe8a8dcc81190f7f2714"),
+    (("--max-n", "4", "--deep-n5"), None, 0, "0873d1b8b8194f8540573cac7368bb910afac63d5ea792907de564fdc0515bc9"),
+    (("--max-n", "4", "--emit-census"), None, 0, "952abc097b3680403be9d3196daf7da51cb3c7d6a545b577788982c4081751ce"),
+    (("--max-n", "1"), "count_canalizing", 5, "66022f5c4d782d1e7f85dee4412882e19983ef6f282f7e480e333015a2fe4320"),
+    (("--max-n", "4"), "count_both_ways", 5, "af78fa7fd00d6e0601ed549631950304998c8a74ee9d214c642c5d97e4bbc39c"),
+    (("--max-n", "2", "--deep-n5", "--emit-census"), "deep_count_n5", 5, "56c714d499ca7a15f727687ce9b69ae9515685fbbb8639bcc18851d0e5fc0e94"),
+]
+DISAGREEING = {
+    "count_canalizing": lambda n: 13,
+    "count_both_ways": lambda n: 0,
+    "deep_count_n5": lambda: 0,
+}
+
+
+@pytest.mark.parametrize(
+    "argv, patched, exit_code, digest",
+    GOLDEN_VERIFY,
+    ids=[" ".join(argv) + (f" {patched}" if patched else "") for argv, patched, _, _ in GOLDEN_VERIFY],
+)
+def test_golden_verify(capsys, monkeypatch, argv, patched, exit_code, digest):
+    if patched:
+        monkeypatch.setattr(f"canalis.cli.{patched}", DISAGREEING[patched])
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_deep_n5(capsys):

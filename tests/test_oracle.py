@@ -1,7 +1,9 @@
+import functools
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,10 +22,10 @@ from canalis import (
     prob_exactly_k,
     prob_from_census,
 )
-from canalis.oracle import _profile_counts, both_ways_prob_from_census
+from canalis.cli import VERIFY_BIASES
+from canalis.oracle import _census, _profile_counts, _table_profiles, both_ways_prob_from_census
 
 HALF = Fraction(1, 2)
-BIASES = [Fraction(1, 10), Fraction(1, 4), HALF, Fraction(3, 5), Fraction(9, 10)]
 
 
 def test_census_n2_counts(census):
@@ -61,19 +63,26 @@ def test_census_complement_symmetry(census):
         assert c.weight_enum_pce == flipped
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@functools.cache
+def _dp_census(n):
+    """The census read off the profile DP; n = 6 takes about 1.5 s."""
+    return _census(n, _profile_counts(n))
+
+
+# n = 5 and 6, beyond the enumeration's reach, read the census off the DP
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_census_matches_closed_forms(n, census):
-    c = census(n)
+    c = census(n) if n <= 4 else _dp_census(n)
     assert c.canalizing == count_canalizing(n)
     assert c.both_ways == count_both_ways(n)
     for k in range(1, n + 1):
         assert c.by_exact_k[k] == count_exact_k(n, k)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_census_matches_probability_formulas(n, census):
-    c = census(n)
-    for p in BIASES:
+    c = census(n) if n <= 4 else _dp_census(n)
+    for p in VERIFY_BIASES:
         assert prob_from_census(c, p) == prob_canalizing(n, p)
         assert both_ways_prob_from_census(c, p) == prob_both_ways(n, p)
         for k in range(1, n + 1):
@@ -113,40 +122,17 @@ def test_census_json_document(census):
     assert all(isinstance(v, str) for v in parsed["by_exact_k"].values())
 
 
-def _tallies_from_profiles(n):
-    """Canalizing count, by_exact_k and both_ways read off the profile DP.
-
-    A half with status 2 (all-1) forces output 1, one with status 1 forces
-    0; constants canalize on all n variables, in one direction only.
-    """
-    canalizing, both_ways = 0, 0
-    by_exact_k = {k: 0 for k in range(1, n + 1)}
-    for (whole, halves), count in _profile_counts(n).items():
-        fields = [halves >> 2 * j & 3 for j in range(2 * n)]
-        if not any(fields):
-            continue
-        canalizing += count
-        by_exact_k[sum(1 for i in range(n) if fields[2 * i] or fields[2 * i + 1])] += count
-        if not whole and 1 in fields and 2 in fields:
-            both_ways += count
-    return canalizing, by_exact_k, both_ways
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_profile_dp_matches_census(n, census):
-    c = census(n)
-    assert _tallies_from_profiles(n) == (c.canalizing, c.by_exact_k, c.both_ways)
+def test_profile_dp_matches_census(n):
+    # the DP and the enumeration behind the census tally the same
+    # (whole, halves, weight) keys, key for key
+    enumerated = Counter(key for _, key in _table_profiles(n))
+    assert _profile_counts(n) == dict(enumerated)
 
 
 def test_profile_dp_counts_every_table_once():
     for n in range(1, 6):
         assert sum(_profile_counts(n).values()) == 1 << (1 << n)
-
-
-def test_profile_dp_matches_closed_form_n6():
-    # an independent route one size above the published n = 5 value
-    dp = sum(count for (_, halves), count in _profile_counts(6).items() if halves)
-    assert dp == count_canalizing(6) == 103071426294
 
 
 def test_import_leaves_multiprocessing_unloaded():

@@ -16,6 +16,7 @@ from canalis import (
     to_hex,
     variable_mask,
 )
+from canalis.oracle import _table_profiles
 
 # canonical small functions (packed ints, bit e = output on input e)
 OR2 = 0b1110
@@ -160,6 +161,26 @@ def test_classify_matches_naive_sampled_n4_n5():
             pos, neg = ref.forcing_pairs(bits, n)
             assert profile.positive == frozenset(pos)
             assert profile.negative == frozenset(neg)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_classify_matches_profile_statuses_exhaustively(n):
+    # the census reads every class off these half statuses, never off
+    # classify, so the two are tied here table by table: a status-2 half
+    # forces 1, a status-1 half forces 0, and a variable whose halves
+    # force opposite values (fields 6 and 9) is a both-ways variable
+    for bits, (whole, halves, _) in _table_profiles(n):
+        profile = classify(TruthTable(n, bits))
+        status = {(i, s): halves >> 4 * i + 2 * s & 3 for i in range(n) for s in (0, 1)}
+        fields = [halves >> 4 * i & 15 for i in range(n)]
+        assert profile.positive == {pair for pair, st in status.items() if st == 2}
+        assert profile.negative == {pair for pair, st in status.items() if st == 1}
+        assert profile.num_canalizing_vars == sum(1 for f in fields if f)
+        assert profile.both_ways_variable == next(
+            (i for i, f in enumerate(fields) if f in (6, 9)), None
+        )
+        assert profile.is_constant == (whole != 0)
+        assert profile.constant_value == {0: None, 1: 0, 2: 1}[whole]
 
 
 def _nonconstant_values(n):
