@@ -9,8 +9,15 @@ Constant functions count as canalizing on all n variables, one direction.
 ``count_canalizing`` and ``count_exact_k`` are the counts' hand-derived
 closed forms, written apart from the library's inclusion-exclusion
 evaluator, so that checks of the counts compare two different sums.
+
+``draw_index`` and ``accepts_by_masks`` keep two sampler steps in their
+plain integer forms: the category walk recomputing every interval test
+from the cut points, and the accept test of one mask per half-cube. The
+library's memoized walk and folded accept test must agree with them.
 """
 
+from bisect import bisect_right
+from functools import lru_cache
 from itertools import product
 from math import comb
 
@@ -127,3 +134,44 @@ def count_exact_k(n, k):
         term = comb(r, k) * comb(n, r) * ((1 << (1 << (n - r))) - 1) << (r + 1)
         total += term if (r - k) % 2 == 0 else -term
     return total
+
+
+def draw_index(scaled, rng):
+    """Categorical draw against cut points N_j / D given as ``(N, D)``:
+    extend a uniform bit expansion numer / 2^bits, one ``getrandbits(1)``
+    at a time, until its dyadic interval lies under a single cut. The
+    cuts at or below the interval's low end are those
+    N_j <= numer * D >> bits, and the interval fits under N_idx iff
+    (numer + 1) * D <= N_idx << bits."""
+    numerators, denom = scaled
+    numer, bits = 0, 0
+    while True:
+        lo = numer * denom
+        idx = bisect_right(numerators, lo >> bits)
+        if lo + denom <= numerators[idx] << bits:
+            return idx
+        numer = (numer << 1) | rng.getrandbits(1)
+        bits += 1
+
+
+@lru_cache(maxsize=None)
+def half_cube_masks(m):
+    """The 2m half-cubes {x_j = t} of the m-cube as integer masks."""
+    return tuple(
+        sum(1 << e for e in range(1 << m) if ((e >> j) & 1) == t) for j in range(m) for t in (0, 1)
+    )
+
+
+def accepts_by_masks(g, r, m, q, s_bits):
+    """The sampler's accept test of a fill ``g`` on m free variables, one
+    full-width mask test per half-cube: h (g, complemented for r = 0) all
+    ones is the constant, kept only at m = 0 with all-zeros forcing
+    values; h all zeros is rejected at q = 1 only; otherwise no half-cube
+    of h may be all ones."""
+    full = (1 << (1 << m)) - 1
+    h = g if r == 1 else g ^ full
+    if h == full:
+        return m == 0 and s_bits == 0
+    if h == 0:
+        return q != 1
+    return not any(h & mask == mask for mask in half_cube_masks(m))

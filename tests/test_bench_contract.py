@@ -66,6 +66,9 @@ def test_traced_round_reports_every_sampler_layer():
     for key in ("attempts_per_draw", "bits_per_draw", "rng_calls_per_draw", "self_ms_per_draw"):
         assert metrics[f"generator.{key}"][0] > 0
     assert metrics["truth_table.classify_calls_per_draw"][0] == 0
+    # generate calls sample_category through the module attribute once per
+    # draw, so the category layer keeps its own timing
+    assert tracer.calls["sample_category"] == stats["attempted"] > 0
 
 
 def test_import_times_include_numpy():

@@ -41,6 +41,20 @@ class ScriptedBits:
         return value
 
 
+class SingleBits:
+    """rng stub over ``random.Random(seed)`` that serves only
+    ``getrandbits(1)`` and counts the calls."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.calls = 0
+
+    def getrandbits(self, k):
+        assert k == 1, f"expected getrandbits(1), got getrandbits({k})"
+        self.calls += 1
+        return self.rng.getrandbits(1)
+
+
 class ConstantBits:
     """rng stub returning all-ones words of any width forever."""
 
@@ -132,6 +146,36 @@ def test_sample_index_degenerate_no_bits():
     assert _draw_index(((0, 5), 5), ScriptedBits([])) == 1
 
 
+@pytest.mark.parametrize("p", CUT_BIASES, ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 14, 16])
+def test_memoized_draw_index_matches_integer_walk(n, p):
+    # every cut set of the weights, the q cuts and each direction's, with
+    # a cold memo per draw and with the weights' own memo warming up: the
+    # same index after the same number of one-bit calls as the plain walk
+    w = category_weights(n, p)
+    cut_sets = [(w.q_scaled, w.q_memo)]
+    cut_sets += [(w.share_scaled[k], w.share_memo[k]) for k in w.share_scaled]
+    for c, (scaled, memo) in enumerate(cut_sets):
+        numerators = scaled[0]
+        ref, cold, warm = SingleBits(c), SingleBits(c), SingleBits(c)
+        for _ in range(200):
+            idx = naive_ref.draw_index(scaled, ref)
+            assert _draw_index(scaled, cold) == idx
+            assert _draw_index(scaled, warm, memo) == idx
+            assert ref.calls == cold.calls == warm.calls
+            # an empty category (a repeated cut, as q = 1 at n = 2) is never drawn
+            assert numerators[idx] > (numerators[idx - 1] if idx else 0)
+
+
+def test_draw_index_memo_stays_small():
+    w = category_weights(16, Fraction(1, 3))
+    rng = random.Random(16)
+    for _ in range(10**4):
+        sample_category(w, rng)
+    nodes = len(w.q_memo) + sum(len(memo) for memo in w.share_memo.values())
+    assert 0 < nodes <= 300
+
+
 def test_sample_category_scripted():
     w = category_weights(2, HALF)
     # q: one 1 bit lands in category 2; r: a 0 bit picks positive
@@ -190,9 +234,9 @@ def test_generate_deterministic_sequence():
 # (n, p, seed, draws, SHA-256 of the stream). The seed -> output mapping
 # is stable API: these digests may change only with a deliberate, recorded
 # break of the stream. The cases cover the constants at q = n (n = 1, 2),
-# both fill directions, wide fills (n = 12, 14) and a bias whose
-# denominator exceeds 2^32, so that each fill coin is a multi-word
-# getrandbits call.
+# both fill directions, wide fills (n = 12, 14), the largest cut points
+# (n = 16, p = 1/3: 85 kbit) and a bias whose denominator exceeds 2^32, so
+# that each fill coin is a multi-word getrandbits call.
 GOLDEN_STREAMS = [
     (1, Fraction(1, 2), 1, 1000, "9464fdd4f4f041d69440cff66bbd93c857f86e2af1c0aaba0e76d8696fa4df71"),
     (2, Fraction(1, 2), 2, 1000, "fd0c0f5b10b91b6319e2d3d4f43e900771f840e06df71a275ac18f5eb1e45997"),
@@ -204,6 +248,7 @@ GOLDEN_STREAMS = [
     (5, Fraction(6103515625, 12207031251), 5, 300, "44762333a476359426d1837aec9a70f7961e4360a8ac6f75dbb1ac6f1bfbdde8"),
     (6, Fraction(3, 4), 6, 300, "bbbef1cd80ba50ba9f9bbb56e6e08a58d751463affc879090718fb5d00942bc3"),
     (10, Fraction(1, 2), 10, 30, "c1e33b896ee1ab1e89e2b5971ad4f803a9fc3adafaf4f906a156f0bcf0c29420"),
+    (16, Fraction(1, 3), 16, 20, "430702d90a2db61558df46858f5bb1ef02451edb4bcb03ab11b0bfd24905c8eb"),
 ]
 
 
@@ -246,6 +291,35 @@ def test_fill_accept_and_deposit_match_classified_attempt(n):
                         assert _accepts(g, r, m, q, s_bits) == accepted, case
                         table = sum(b << e for e, b in enumerate(bits))
                         assert _deposit(g, n, subset, s_bits, r) == table, case
+
+
+def _edge_fills(m):
+    """Fills of the m-cube that sit on the accept test's edges: all zeros,
+    all ones, one-hot, and for each half-cube the half alone, the half
+    over a random rest, the half less one entry, and all ones less one
+    entry outside the half."""
+    rng = random.Random(m)
+    size = 1 << m
+    full = (1 << size) - 1
+    yield from (0, full, 1, 1 << (size - 1), 1 << rng.randrange(size))
+    for mask in naive_ref.half_cube_masks(m):
+        yield mask
+        yield mask | rng.getrandbits(size)
+        yield mask ^ (1 << rng.choice([e for e in range(size) if mask >> e & 1]))
+        yield full ^ (1 << rng.choice([e for e in range(size) if not mask >> e & 1]))
+    for _ in range(20):
+        yield rng.getrandbits(size)
+
+
+@pytest.mark.parametrize("m", range(5, 14))
+def test_folded_accept_equals_mask_test(m):
+    fills = list(_edge_fills(m))
+    for g in fills + [f ^ ((1 << (1 << m)) - 1) for f in fills]:
+        for r in (0, 1):
+            for q in (1, 2):
+                s_bits = g & ((1 << q) - 1)
+                expected = naive_ref.accepts_by_masks(g, r, m, q, s_bits)
+                assert _accepts(g, r, m, q, s_bits) == expected, (m, r, q, hex(g))
 
 
 def _coins_one_call_per_value(rng, numer, denom, count):
