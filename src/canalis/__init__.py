@@ -30,9 +30,9 @@ from .oracle import (
     ClassCensus,
     census_to_json,
     class_prob_from_census,
-    deep_count_n5,
     enumerate_classify,
     prob_from_census,
+    profile_census,
 )
 from .probability import (
     ProbBreakdown,
@@ -97,5 +97,5 @@ __all__ = [
     "prob_from_census",
     "class_prob_from_census",
     "census_to_json",
-    "deep_count_n5",
+    "profile_census",
 ]

@@ -26,14 +26,12 @@ from .exact_counts import (
 from .generator import CanalizingGenerator, GeneratorConfig, RejectionLimitExceeded
 from .limits import RangeError
 from .oracle import (
-    N5_CANALIZING_COUNT,
     ORACLE_MAX_N,
     both_ways_prob_from_census,
     census_to_json,
     class_prob_from_census,
-    deep_count_n5,
-    enumerate_classify,
     prob_from_census,
+    profile_census,
 )
 from .probability import (
     decimal_string,
@@ -134,9 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_ver = sub.add_parser("verify", help="cross-check closed forms against brute force")
-    p_ver.add_argument("--max-n", type=int, default=4, help="verify n = 1..max-n (max 4)")
     p_ver.add_argument(
-        "--deep-n5", action="store_true", help="also count the n = 5 tables by profile DP"
+        "--max-n",
+        type=int,
+        default=4,
+        help=f"verify n = 1..max-n against the profile-DP census (max {ORACLE_MAX_N})",
     )
     p_ver.add_argument(
         "--emit-census", action="store_true", help="include full census documents"
@@ -279,39 +279,31 @@ def _verify_checks(census):
                 )
 
 
-def _verify_mismatch(params: dict, result: dict, name: str, expected, actual) -> int:
-    _emit(_envelope("verify", params, result))
-    print(f"verify: MISMATCH in {name}: expected {expected}, got {actual}", file=sys.stderr)
-    return EXIT_MISMATCH
-
-
 def cmd_verify(args) -> int:
     if not 1 <= args.max_n <= ORACLE_MAX_N:
         print(f"verify: --max-n must be between 1 and {ORACLE_MAX_N}", file=sys.stderr)
         return EXIT_USAGE
-    params = {"max_n": args.max_n, "deep_n5": args.deep_n5}
+    params = {"max_n": args.max_n}
     passed = 0
     censuses = []
     for n in range(1, args.max_n + 1):
-        census = enumerate_classify(n)
+        census = profile_census(n)
         censuses.append(census)
         for name, expected, actual in _verify_checks(census):
             if expected != actual:
                 expected, actual = str(expected), str(actual)
                 disagreement = {"check": name, "expected": expected, "actual": actual}
                 result = {"ok": False, "first_disagreement": disagreement, "checks_passed": passed}
-                return _verify_mismatch(params, result, name, expected, actual)
+                _emit(_envelope("verify", params, result))
+                print(
+                    f"verify: MISMATCH in {name}: expected {expected}, got {actual}",
+                    file=sys.stderr,
+                )
+                return EXIT_MISMATCH
             passed += 1
     result = {"ok": True, "checks_passed": passed}
     if args.emit_census:
         result["censuses"] = [census_to_json(census) for census in censuses]
-    if args.deep_n5:
-        deep = deep_count_n5()
-        result["deep_n5_count"] = str(deep)
-        result["deep_n5_expected"] = str(N5_CANALIZING_COUNT)
-        if deep != N5_CANALIZING_COUNT:
-            result["ok"] = False
-            return _verify_mismatch(params, result, "deep n=5 count", N5_CANALIZING_COUNT, deep)
     _emit(_envelope("verify", params, result))
     return EXIT_OK
 

@@ -7,13 +7,17 @@ status 1 forces output 0. One reader, `_census`, turns either tally into
 every class count and weight enumerator; none of the counting or
 probability formulas are consulted, so agreement with them is evidence,
 not circularity. Weight enumerators (class member counts by number of
-ones) turn a census into exact probabilities at any rational bias.
+ones) turn a census into exact probabilities at any rational bias: the
+sum of count * p^w (1-p)^(2^n - w) is formed as an integer numerator
+over b^(2^n) on `probability._BiasPowers`, which holds only powers of a,
+b - a and b, not the inclusion-exclusion sums.
 
-For n <= 4, `enumerate_classify` reads the profile of every table off
-its half-cube masks. For n = 5 the tally comes from a DP instead: the
-statuses of every half of a table follow from the statuses in its two
-halves under the top variable, so tables are counted by profile level by
-level.
+`profile_census` gets the tally for 1 <= n <= 6 from a DP: the statuses
+of every half of a table follow from the statuses in its two halves
+under the top variable, so tables are counted by profile level by level.
+`enumerate_classify` reads the profile of every table of n <= 4
+variables off its half-cube masks instead; the tests hold the DP to it
+key for key.
 """
 
 from __future__ import annotations
@@ -25,22 +29,21 @@ from fractions import Fraction
 import numpy  # noqa: F401  unused; perfbench's import-time report reads numpy's entry
 
 from .limits import RangeError
-from .probability import _direction_positive, validate_bias
+from .probability import _BiasPowers, _direction_positive, validate_bias
 from .truth_table import variable_mask
 
 __all__ = [
     "ClassCensus",
     "enumerate_classify",
+    "profile_census",
     "prob_from_census",
     "class_prob_from_census",
     "both_ways_prob_from_census",
     "census_to_json",
-    "deep_count_n5",
-    "N5_CANALIZING_COUNT",
 ]
 
-ORACLE_MAX_N = 4
-N5_CANALIZING_COUNT = 1292276  # published value the profile DP must reproduce
+ENUMERATE_MAX_N = 4
+ORACLE_MAX_N = 6  # the reach of the profile DP, and of `verify --max-n`
 
 
 @dataclass
@@ -61,10 +64,10 @@ class ClassCensus:
 
 def enumerate_classify(n: int) -> ClassCensus:
     """Classify all 2^(2^n) functions; only feasible for n <= 4."""
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= ORACLE_MAX_N:
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= ENUMERATE_MAX_N:
         raise RangeError(
-            f"exhaustive classification supports 1 <= n <= {ORACLE_MAX_N} "
-            f"(use deep_count_n5 for n = 5), got {n!r}"
+            f"exhaustive classification supports 1 <= n <= {ENUMERATE_MAX_N} "
+            f"(use profile_census for n <= {ORACLE_MAX_N}), got {n!r}"
         )
     return _census(n, Counter(key for _, key in _table_profiles(n)))
 
@@ -125,35 +128,33 @@ def _at_k(enum: dict[tuple[int, int], int], k: int) -> dict[int, int]:
     return {w: c for (kk, w), c in enum.items() if kk == k}
 
 
-def _weighted_prob(pairs, n: int, p: Fraction) -> Fraction:
-    """Sum of count * p^w (1-p)^(2^n - w) over (w, count) pairs."""
-    q = 1 - p
-    size = 1 << n
-    return sum((count * p**w * q ** (size - w) for w, count in pairs), Fraction(0))
+def _weighted_num(ctx: _BiasPowers, pairs) -> int:
+    """Numerator over b^(2^n) of the sum of count * p^w (1-p)^(2^n - w)
+    over (w, count) pairs."""
+    return sum(count * ctx.term(w, ctx.size - w) for w, count in pairs)
 
 
 def prob_from_census(census: ClassCensus, p) -> Fraction:
     """Exact probability of the canalizing class from the weight enumerator."""
-    p = validate_bias(p)
-    return _weighted_prob(census.weight_enum_canalizing.items(), census.n, p)
+    ctx = _BiasPowers(census.n, validate_bias(p))
+    return ctx.fraction(_weighted_num(ctx, census.weight_enum_canalizing.items()))
 
 
 def class_prob_from_census(census: ClassCensus, k: int, direction, p) -> Fraction:
     """Exact probability of one exactly-k single-direction class."""
-    p = validate_bias(p)
+    ctx = _BiasPowers(census.n, validate_bias(p))
     enum = census.weight_enum_pce if _direction_positive(direction) else census.weight_enum_nce
-    return _weighted_prob(_at_k(enum, k).items(), census.n, p)
+    return ctx.fraction(_weighted_num(ctx, _at_k(enum, k).items()))
 
 
 def both_ways_prob_from_census(census: ClassCensus, p) -> Fraction:
     """Probability of the both-ways class, derived by subtraction so the
     census never consults a closed form."""
-    p = validate_bias(p)
-    total = prob_from_census(census, p)
-    for k in range(1, census.n + 1):
-        total -= class_prob_from_census(census, k, "positive", p)
-        total -= class_prob_from_census(census, k, "negative", p)
-    return total
+    ctx = _BiasPowers(census.n, validate_bias(p))
+    num = _weighted_num(ctx, census.weight_enum_canalizing.items())
+    for enum in (census.weight_enum_pce, census.weight_enum_nce):
+        num -= _weighted_num(ctx, ((w, count) for (_, w), count in enum.items()))
+    return ctx.fraction(num)
 
 
 def census_to_json(census: ClassCensus) -> dict:
@@ -180,7 +181,7 @@ def census_to_json(census: ClassCensus) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# n = 5 profile DP
+# profile DP
 
 
 def _profile_counts(n: int) -> dict[tuple[int, int, int], int]:
@@ -206,7 +207,9 @@ def _profile_counts(n: int) -> dict[tuple[int, int, int], int]:
     return level
 
 
-def deep_count_n5() -> int:
-    """Count the canalizing five-variable tables by the profile DP; no
-    closed form is consulted."""
-    return _census(5, _profile_counts(5)).canalizing
+def profile_census(n: int) -> ClassCensus:
+    """The census of all 2^(2^n) functions read off the profile DP, for
+    1 <= n <= 6; n = 6 takes about 1 s."""
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= ORACLE_MAX_N:
+        raise RangeError(f"the profile census supports 1 <= n <= {ORACLE_MAX_N}, got {n!r}")
+    return _census(n, _profile_counts(n))

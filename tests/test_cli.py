@@ -10,6 +10,7 @@ import pytest
 import canalis
 from canalis import RejectionLimitExceeded, classify, from_hex, to_hex
 from canalis.cli import main
+from canalis.exact_counts import count_exact_k
 
 
 def run(capsys, *argv):
@@ -271,8 +272,9 @@ def test_verify_emit_census(capsys):
 
 
 def test_verify_max_n_out_of_range_exit_2(capsys):
-    code, _, _ = run(capsys, "verify", "--max-n", "9")
-    assert code == 2
+    for argv in (("--max-n", "9"), ("--max-n", "7"), ("--max-n", "0"), ("--deep-n5",)):
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 2 and out == "", argv
 
 
 def test_verify_detects_mismatch_exit_5(capsys, monkeypatch):
@@ -289,17 +291,18 @@ def test_verify_detects_mismatch_exit_5(capsys, monkeypatch):
 # SHA-256 of stdout). The verify envelope is stable API: these digests may
 # change only with a deliberate, recorded change of its bytes.
 GOLDEN_VERIFY = [
-    (("--max-n", "4"), None, 0, "3e643eed4d8e686967ef26364ff00a15720761fc0bcefe8a8dcc81190f7f2714"),
-    (("--max-n", "4", "--deep-n5"), None, 0, "0873d1b8b8194f8540573cac7368bb910afac63d5ea792907de564fdc0515bc9"),
-    (("--max-n", "4", "--emit-census"), None, 0, "952abc097b3680403be9d3196daf7da51cb3c7d6a545b577788982c4081751ce"),
-    (("--max-n", "1"), "count_canalizing", 5, "66022f5c4d782d1e7f85dee4412882e19983ef6f282f7e480e333015a2fe4320"),
-    (("--max-n", "4"), "count_both_ways", 5, "af78fa7fd00d6e0601ed549631950304998c8a74ee9d214c642c5d97e4bbc39c"),
-    (("--max-n", "2", "--deep-n5", "--emit-census"), "deep_count_n5", 5, "56c714d499ca7a15f727687ce9b69ae9515685fbbb8639bcc18851d0e5fc0e94"),
+    (("--max-n", "4"), None, 0, "d8eac140eda9a3e6ce9d8ccb2488d1b667df2266a213fd4c047d03c6ff22e9c9"),
+    (("--max-n", "6"), None, 0, "e18223e1f5b508f58bbef3610181d06f4dcf2bd635470010f1071d68ad76594a"),
+    (("--max-n", "4", "--emit-census"), None, 0, "cdf2a0708eb7c14f9caee74a601ea95a9891a08973621494fbf707eb990cab0f"),
+    (("--max-n", "1"), "count_canalizing", 5, "a89f6391fc69cd6070e18f37cc5ec9ff3edaa067ed0288e2295677d5d05aa4e5"),
+    (("--max-n", "4"), "count_both_ways", 5, "ce463a288517ac324e9e55742a8f226f225cee17a4760ef2d2c332cc2563b2f7"),
+    (("--max-n", "6"), "count_exact_k", 5, "59121c42248630efb3dddc82b01a3da3ef5938793fbc78f783549770c79e256f"),
 ]
 DISAGREEING = {
     "count_canalizing": lambda n: 13,
     "count_both_ways": lambda n: 0,
-    "deep_count_n5": lambda: 0,
+    # disagrees only at n = 6, so the checks of n = 1..5 all pass first
+    "count_exact_k": lambda n, k: count_exact_k(n, k) + (n == 6),
 }
 
 
@@ -314,15 +317,6 @@ def test_golden_verify(capsys, monkeypatch, argv, patched, exit_code, digest):
     code, out, _ = run(capsys, "verify", *argv)
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-def test_verify_deep_n5(capsys):
-    code, out, err = run(capsys, "verify", "--max-n", "1", "--deep-n5")
-    doc = json.loads(out)
-    assert code == 0 and err == ""
-    assert doc["result"]["ok"] is True
-    assert doc["result"]["deep_n5_count"] == "1292276"
-    assert doc["result"]["deep_n5_expected"] == "1292276"
 
 
 def test_no_subcommand_exit_2(capsys):

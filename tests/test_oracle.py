@@ -21,9 +21,10 @@ from canalis import (
     prob_canalizing,
     prob_exactly_k,
     prob_from_census,
+    profile_census,
 )
 from canalis.cli import VERIFY_BIASES
-from canalis.oracle import _census, _profile_counts, _table_profiles, both_ways_prob_from_census
+from canalis.oracle import _profile_counts, _table_profiles, both_ways_prob_from_census
 
 HALF = Fraction(1, 2)
 
@@ -66,7 +67,7 @@ def test_census_complement_symmetry(census):
 @functools.cache
 def _dp_census(n):
     """The census read off the profile DP; n = 6 takes about 1.5 s."""
-    return _census(n, _profile_counts(n))
+    return profile_census(n)
 
 
 # n = 5 and 6, beyond the enumeration's reach, read the census off the DP
@@ -102,10 +103,13 @@ def test_prob_from_census_examples(census):
 
 
 def test_enumerate_range_error():
-    with pytest.raises(RangeError):
-        from canalis import enumerate_classify
+    from canalis import enumerate_classify
 
+    with pytest.raises(RangeError, match="profile_census"):
         enumerate_classify(5)
+    for n in (0, 7, True):
+        with pytest.raises(RangeError):
+            profile_census(n)
 
 
 def test_census_json_document(census):
