@@ -23,7 +23,12 @@ from .exact_counts import (
     count_exact_k,
     scientific_string,
 )
-from .generator import CanalizingGenerator, GeneratorConfig, RejectionLimitExceeded
+from .generator import (
+    STREAM_VERSION,
+    CanalizingGenerator,
+    GeneratorConfig,
+    RejectionLimitExceeded,
+)
 from .limits import RangeError
 from .oracle import (
     ORACLE_MAX_N,
@@ -234,6 +239,7 @@ def cmd_generate(args) -> int:
         "count": args.count,
         "seed": seed,
         "max_rejections": args.max_rejections,
+        "stream": STREAM_VERSION,
     }
     tables, records = [], []
     for table, record in draws:

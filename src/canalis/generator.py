@@ -2,17 +2,30 @@
 
 A draw proceeds in the class decomposition's order: pick the category
 (both-ways, or one direction with an exact variable count q) with its
-exact rational probability, pick the direction, then rejection-sample
-inside the category: draw the canalizing variable set and its forcing
-values uniformly, force the corresponding half tables, fill the remaining
-2^(n-q) entries independently with bias p, and start the attempt over if
-the result lands outside the chosen class. Redrawing the variable set and
-forcing values together with the fill makes every attempt an independent
-sample of the whole category, so acceptance renormalizes all members by
-one common factor and the conditional law is exact. (Refilling only the
-free entries under a pinned signature would renormalize each signature's
-route separately; the exactly-n classes are then skewed, because the
-constant function shares routes with nonconstant members.)
+exact rational probability, pick the direction, then draw inside the
+category a route: the canalizing variable set, its forcing values, and
+the fill of the remaining 2^m entries, m = n - q. A route gives one table,
+and it is accepted iff that table lands in the chosen class.
+
+A category with m >= 4 free variables rejection-samples its routes: draw
+the variable set and forcing values uniformly, fill the free entries
+independently with bias p, and start the attempt over if the route is
+rejected. Redrawing the variable set and forcing values together with
+the fill makes every attempt an independent sample of the whole category,
+so acceptance renormalizes all members by one common factor and the
+conditional law is exact. (Refilling only the free entries under a pinned
+signature would renormalize each signature's route separately; the
+exactly-n classes are then skewed, because the constant function shares
+routes with nonconstant members.)
+
+A category with m <= 3 free variables draws an accepted route directly
+from the same conditional law, with no rejected attempt. The accepted
+fills of the m-cube, at most 2^8 candidates, are enumerated once with the
+accept test and grouped by weight; a route's bias-p weight depends only on
+its fill's weight, so the category draws a group with the exact integer
+weights (number of routes) * p_r^w * (1 - p_r)^(2^m - w), then one route
+of the group uniformly: one uniform integer split into the variable-set
+rank, the fill and the forcing values.
 
 Constants need one more care point: the constant function belongs to the
 exactly-n classes but would be reachable through every choice of forcing
@@ -56,9 +69,17 @@ Every random bit comes from ``rng.getrandbits``; with ``random.Random``
 (the Mersenne Twister, Python's default) a fixed seed therefore
 reproduces the exact output sequence across runs and Python releases,
 which tests/test_generator.py locks with golden digests. Any other source
-of uniform ``getrandbits`` words keeps the law exact. The per-draw
-consumption order is: category bits, direction bits, then per attempt
-the variable-set rank, forcing values, and fill words.
+of uniform ``getrandbits`` words keeps the law exact. ``STREAM_VERSION``
+names the seed -> output mapping; it changes only with a deliberate break
+of the stream. The per-draw consumption order is: category bits, then
+either the both-ways variable and its forcing value, or direction bits
+and then
+- for m <= 3, the weight group's bits and one uniform integer below
+  C(n, q) * (fills in the group) * 2^(free forcing bits), whose remainders
+  by C(n, q) and by the group size are the variable-set rank and the fill,
+  and whose quotient is the forcing values;
+- for m >= 4, per attempt the variable-set rank, forcing values, and fill
+  words.
 """
 
 from __future__ import annotations
@@ -79,6 +100,7 @@ from .probability import _class_numerators, validate_bias
 from .truth_table import TruthTable, classify, variable_mask  # noqa: F401
 
 __all__ = [
+    "STREAM_VERSION",
     "RejectionLimitExceeded",
     "GeneratorConfig",
     "CategoryWeights",
@@ -88,6 +110,12 @@ __all__ = [
     "generate",
     "CanalizingGenerator",
 ]
+
+
+# version 2 draws the categories with at most DIRECT_MAX_M free variables
+# directly; version 1 rejection-sampled every category
+STREAM_VERSION = 2
+DIRECT_MAX_M = 3
 
 
 class RejectionLimitExceeded(RuntimeError):
@@ -126,7 +154,10 @@ class CategoryWeights:
     cumulative shares of the categories q = 0..n in Pr[C], and
     ``share_scaled[k]`` for the positive direction's share inside a
     nonempty category k. ``q_memo`` and ``share_memo[k]`` hold the
-    ``_draw_index`` trie of each, filled as draws reach its nodes."""
+    ``_draw_index`` trie of each, filled as draws reach its nodes.
+    ``direct[q, r]`` holds the route groups, weight cuts and trie of a
+    category with at most ``DIRECT_MAX_M`` free variables, built on its
+    first draw (see ``_direct_table``)."""
 
     n: int
     p: Fraction
@@ -134,6 +165,9 @@ class CategoryWeights:
     share_scaled: dict[int, tuple[tuple[int, ...], int]] = field(repr=False)
     q_memo: dict[int, int] = field(default_factory=dict, init=False, compare=False, repr=False)
     share_memo: dict[int, dict[int, int]] = field(init=False, compare=False, repr=False)
+    direct: dict[tuple[int, int], tuple] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "share_memo", {k: {} for k in self.share_scaled})
@@ -353,6 +387,50 @@ def _deposit(g: int, n: int, subset: tuple[int, ...], s_bits: int, r: int) -> in
     return x | forced if r == 1 else x
 
 
+@lru_cache(maxsize=None)
+def _accepted_fills(m: int, lone: bool) -> tuple[tuple[int, bool, tuple[int, ...]], ...]:
+    """The fills h of the m-cube that the accept test takes in direction
+    r = 1, with q = 1 when ``lone`` and q > 1 otherwise, as groups
+    ``(w, pinned, fills)`` of one weight w. A pinned fill (the constant)
+    is accepted only with the all-zeros forcing values, any other fill
+    with every forcing value. The accept test sees r only through h, so
+    direction 0 accepts the same h as the complemented fills."""
+    q = 1 if lone else 2
+    groups: dict[tuple[int, bool], list[int]] = {}
+    for h in range(1 << (1 << m)):
+        if _accepts(h, 1, m, q, 0):
+            pinned = not _accepts(h, 1, m, q, 1)
+            groups.setdefault((h.bit_count(), pinned), []).append(h)
+    return tuple((w, pinned, tuple(fills)) for (w, pinned), fills in sorted(groups.items()))
+
+
+def _direct_table(weights: CategoryWeights, q: int, r: int) -> tuple:
+    """The direct draw of category (q, r) with m = n - q <= DIRECT_MAX_M
+    free variables, stored on ``weights``: ``(groups, scaled, memo)``.
+
+    ``groups[j]`` is ``(free, fills)``, the fills of one accepted weight
+    group as tables g in draw order, and the number of free forcing bits
+    of each of its routes (q, or 0 for the constant). A group of weight w
+    in r-space holds len(fills) * 2^free routes per variable set, each of
+    bias-p weight p_r^w * (1 - p_r)^(2^m - w); with p_r = a_r / b, the
+    cut points ``scaled`` are the running sums of those counts times
+    a_r^w * (b - a_r)^(2^m - w), and ``memo`` is their ``_draw_index``
+    trie."""
+    m = weights.n - q
+    size = 1 << m
+    b = weights.p.denominator
+    a_r = weights.p.numerator if r == 1 else b - weights.p.numerator
+    flip = 0 if r == 1 else (1 << size) - 1
+    groups, cuts, total = [], [], 0
+    for w, pinned, fills in _accepted_fills(m, q == 1):
+        free = 0 if pinned else q
+        total += (len(fills) << free) * a_r**w * (b - a_r) ** (size - w)
+        cuts.append(total)
+        groups.append((free, tuple(h ^ flip for h in fills)))
+    table = weights.direct[q, r] = (tuple(groups), (tuple(cuts), total), {})
+    return table
+
+
 def generate(
     config: GeneratorConfig, rng, weights: CategoryWeights | None = None
 ) -> tuple[TruthTable, DrawRecord]:
@@ -361,7 +439,8 @@ def generate(
     ``rng`` is any object with ``getrandbits``; pass ``weights`` to reuse
     the category weights of the same (n, p) across draws. Raises
     ValueError for weights of another (n, p), and RejectionLimitExceeded
-    after ``config.max_rejections`` consecutive rejected fills.
+    after ``config.max_rejections`` consecutive rejected fills, which only
+    a category with more than ``DIRECT_MAX_M`` free variables can reach.
     """
     n = config.n
     if weights is None:
@@ -381,30 +460,37 @@ def generate(
         table = TruthTable(n, variable_mask(n, i, s))
         return table, DrawRecord(q=0, r=None, subset=(i,), values={i: s}, rejections=0)
 
-    numer, denom = config.p.numerator, config.p.denominator
     m = n - q
     subsets = _subsets(n, q)
-
     rejections = 0
-    while True:
-        # a fresh (subset, values, fill) triple every attempt: rejection
-        # then renormalizes over the whole category at once, which is what
-        # makes the conditional law exact (per-route refilling would skew
-        # the exactly-n classes, where the constant breaks route symmetry)
-        subset = subsets[_uniform_below(rng, len(subsets))]
-        s_bits = rng.getrandbits(q)
-        # bit x of g is the output on the x-th free input in ascending
-        # order; int(..., 2) reads the most significant digit first
-        g = int(_fill(rng, numer, denom, 1 << m)[::-1], 2)
-        if _accepts(g, r, m, q, s_bits):
-            table = TruthTable(n, _deposit(g, n, subset, s_bits, r))
-            values = {i: (s_bits >> j) & 1 for j, i in enumerate(subset)}
-            return table, DrawRecord(
-                q=q, r=r, subset=subset, values=values, rejections=rejections
-            )
-        rejections += 1
-        if rejections >= config.max_rejections:
-            raise RejectionLimitExceeded(q, r, rejections)
+    if m <= DIRECT_MAX_M:
+        groups, scaled, memo = weights.direct.get((q, r)) or _direct_table(weights, q, r)
+        free, fills = groups[_draw_index(scaled, rng, memo)]
+        route = _uniform_below(rng, len(subsets) * len(fills) << free)
+        route, rank = divmod(route, len(subsets))
+        s_bits, at = divmod(route, len(fills))
+        subset, g = subsets[rank], fills[at]
+    else:
+        numer, denom = config.p.numerator, config.p.denominator
+        while True:
+            # a fresh (subset, values, fill) triple every attempt: rejection
+            # then renormalizes over the whole category at once, which is
+            # what makes the conditional law exact (per-route refilling
+            # would skew the exactly-n classes, where the constant breaks
+            # route symmetry)
+            subset = subsets[_uniform_below(rng, len(subsets))]
+            s_bits = rng.getrandbits(q)
+            # bit x of g is the output on the x-th free input in ascending
+            # order; int(..., 2) reads the most significant digit first
+            g = int(_fill(rng, numer, denom, 1 << m)[::-1], 2)
+            if _accepts(g, r, m, q, s_bits):
+                break
+            rejections += 1
+            if rejections >= config.max_rejections:
+                raise RejectionLimitExceeded(q, r, rejections)
+    table = TruthTable(n, _deposit(g, n, subset, s_bits, r))
+    values = {i: (s_bits >> j) & 1 for j, i in enumerate(subset)}
+    return table, DrawRecord(q=q, r=r, subset=subset, values=values, rejections=rejections)
 
 
 class CanalizingGenerator:

@@ -1,6 +1,13 @@
-"""Consistency predicate between a sampled table and its draw record."""
+"""Checks of sampled tables: consistency with the draw record, and a
+chi-square of drawn tables against the exact law from the census."""
+
+from fractions import Fraction
+from functools import lru_cache
+
+import scipy.stats as st
 
 from canalis import classify
+from canalis.oracle import _table_profiles
 
 
 def record_consistent(table, record):
@@ -27,3 +34,45 @@ def record_consistent(table, record):
     if record.r == 1:
         return not profile.negative and profile.positive == expected_pairs
     return not profile.positive and profile.negative == expected_pairs
+
+
+@lru_cache(maxsize=None)
+def _canalizing_tables(n):
+    """Every canalizing n-variable table of the exhaustive census, n <= 4:
+    those with a forcing half."""
+    return tuple(bits for bits, (_, halves, _) in _table_profiles(n) if halves)
+
+
+def canalizing_law(n, p):
+    """The exact bias-p law conditioned on the canalizing class, n <= 4,
+    as {table bits: probability}."""
+    size = 1 << n
+    raw = {
+        bits: p ** bits.bit_count() * (1 - p) ** (size - bits.bit_count())
+        for bits in _canalizing_tables(n)
+    }
+    total = sum(raw.values(), Fraction(0))
+    return {bits: weight / total for bits, weight in raw.items()}
+
+
+def chi_square_passes(observed, law, quantile=0.999, min_expected=5.0):
+    """Pearson chi-square of observed table counts against an exact law at
+    the given quantile. Cells are taken in ascending order of probability
+    and pooled until each pool expects at least ``min_expected`` draws; the
+    pools depend on the law alone. A draw outside the law's support fails."""
+    if not observed.keys() <= law.keys():
+        return False
+    total = sum(observed.values())
+    pools, obs, exp = [], 0, 0.0
+    for bits, prob in sorted(law.items(), key=lambda item: (item[1], item[0])):
+        obs += observed.get(bits, 0)
+        exp += total * float(prob)
+        if exp >= min_expected:
+            pools.append((obs, exp))
+            obs, exp = 0, 0.0
+    if exp:
+        # the last cells expect too few draws: join them to the last pool
+        last_obs, last_exp = pools.pop()
+        pools.append((obs + last_obs, exp + last_exp))
+    statistic = sum((o - e) ** 2 / e for o, e in pools)
+    return statistic < st.chi2.ppf(quantile, len(pools) - 1)

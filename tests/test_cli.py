@@ -210,6 +210,20 @@ def test_generate_records(capsys):
         assert set(record) == {"q", "r", "subset", "values", "rejections"}
 
 
+def test_generate_skewed_bias_draws_without_rejection(capsys):
+    # p = 1/100 at n = 4: rejection sampling needed about 1/p^2 attempts in
+    # q = 3 and gave up; every category at n <= 4 is now drawn directly
+    doc = run_json(
+        capsys,
+        "generate", "--n", "4", "--p", "1/100", "--count", "500", "--seed", "1",
+        "--records",
+    )
+    assert doc["params"]["stream"] == 2
+    records = doc["result"]["records"]
+    assert len(records) == 500
+    assert all(record["rejections"] == 0 for record in records if record["q"] >= 4 - 3)
+
+
 def test_generate_records_require_json(capsys):
     code, _, _ = run(
         capsys,

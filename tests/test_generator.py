@@ -21,8 +21,16 @@ from canalis import (
     to_hex,
 )
 import naive_ref
-from canalis.generator import _accepts, _deposit, _draw_index, _fill
-from sampler_checks import record_consistent
+from canalis.generator import (
+    DIRECT_MAX_M,
+    _accepted_fills,
+    _accepts,
+    _deposit,
+    _direct_table,
+    _draw_index,
+    _fill,
+)
+from sampler_checks import canalizing_law, chi_square_passes, record_consistent
 
 HALF = Fraction(1, 2)
 
@@ -53,13 +61,6 @@ class SingleBits:
         assert k == 1, f"expected getrandbits(1), got getrandbits({k})"
         self.calls += 1
         return self.rng.getrandbits(1)
-
-
-class ConstantBits:
-    """rng stub returning all-ones words of any width forever."""
-
-    def getrandbits(self, k):
-        return (1 << k) - 1
 
 
 def _cuts(scaled):
@@ -231,22 +232,25 @@ def test_generate_deterministic_sequence():
     assert first == second
 
 
-# (n, p, seed, draws, SHA-256 of the stream). The seed -> output mapping
-# is stable API: these digests may change only with a deliberate, recorded
-# break of the stream. The cases cover the constants at q = n (n = 1, 2),
-# both fill directions, wide fills (n = 12, 14), the largest cut points
-# (n = 16, p = 1/3: 85 kbit) and a bias whose denominator exceeds 2^32, so
-# that each fill coin is a multi-word getrandbits call.
+# (n, p, seed, draws, SHA-256 of the stream) of stream version 2. The
+# seed -> output mapping is stable API: these digests may change only with
+# a deliberate, recorded break of the stream, which bumps STREAM_VERSION.
+# The cases cover the constants at q = n (n = 1, 2), the direct draw of
+# every category at n <= 4 and both draws at n = 5, 6, both fill
+# directions, wide fills (n = 12, 14), the largest cut points (n = 16,
+# p = 1/3: 85 kbit) and a bias whose denominator exceeds 2^32, so that each
+# fill coin is a multi-word getrandbits call. The n >= 8 digests are those
+# of version 1: their draws never reach a category with m <= 3.
 GOLDEN_STREAMS = [
-    (1, Fraction(1, 2), 1, 1000, "9464fdd4f4f041d69440cff66bbd93c857f86e2af1c0aaba0e76d8696fa4df71"),
-    (2, Fraction(1, 2), 2, 1000, "fd0c0f5b10b91b6319e2d3d4f43e900771f840e06df71a275ac18f5eb1e45997"),
-    (3, Fraction(1, 2), 3, 1000, "6739a92fc3d34ca442941476b3c35488157b2635da3a37608305c919f5fadff7"),
-    (4, Fraction(1, 3), 31337, 1000, "4a75061c2667d72bcafc166ab591ba48ffb1c26bec54f5a1dd0c51a1357125f7"),
+    (1, Fraction(1, 2), 1, 1000, "b9f2e8a6e3524ce418b38dd2c835b3c7ebcd42beb2b7b20e9ce5680c278e2237"),
+    (2, Fraction(1, 2), 2, 1000, "f82199979739f7bfe3d99bff842b66053d287a54373807a909513378bcec0fd8"),
+    (3, Fraction(1, 2), 3, 1000, "11f6e866841889f8daa74bd03b7c6409933b0339aecbb2d9422e70c27023bef6"),
+    (4, Fraction(1, 3), 31337, 1000, "143d9e1262433e7028c93eee6adfd661ee027160a1c6069eed432289df4fa900"),
     (8, Fraction(1, 3), 8, 200, "4cfa6f09784681ecc1ade07d0f8698cc67576ea41f883292cd89f39490ca3812"),
     (14, Fraction(1, 3), 14, 6, "ab332cc70f4b6e39d69c46fa8f234bcbacad1520fca97f039da342765c24ebf7"),
     (12, Fraction(2, 3), 12, 6, "bfdebe44ef473166d1b5e5615e2b8572c394065233d1e59d2e074ba4410d47ef"),
-    (5, Fraction(6103515625, 12207031251), 5, 300, "44762333a476359426d1837aec9a70f7961e4360a8ac6f75dbb1ac6f1bfbdde8"),
-    (6, Fraction(3, 4), 6, 300, "bbbef1cd80ba50ba9f9bbb56e6e08a58d751463affc879090718fb5d00942bc3"),
+    (5, Fraction(6103515625, 12207031251), 5, 300, "38692affb2a798f8eb16a64fc9b9c505450888437b8033239c4572a826118c42"),
+    (6, Fraction(3, 4), 6, 300, "068c3d08a9cd40250af5757349bb52dfbb571b63001f90f7cce66c2a9ec47ce7"),
     (10, Fraction(1, 2), 10, 30, "c1e33b896ee1ab1e89e2b5971ad4f803a9fc3adafaf4f906a156f0bcf0c29420"),
     (16, Fraction(1, 3), 16, 20, "430702d90a2db61558df46858f5bb1ef02451edb4bcb03ab11b0bfd24905c8eb"),
 ]
@@ -371,17 +375,81 @@ def test_generate_function_signature_uses_external_stream():
 def test_mean_rejections_bounded(n):
     gen = CanalizingGenerator(GeneratorConfig(n=n, p=HALF, seed=5))
     records = [r for _, r in gen.draws(400)]
-    assert sum(r.rejections for r in records) / len(records) < 3
+    if n <= DIRECT_MAX_M + 1:
+        # every category has at most DIRECT_MAX_M free variables
+        assert sum(r.rejections for r in records) == 0
+    else:
+        assert sum(r.rejections for r in records) / len(records) < 3
 
 
 def test_rejection_limit_exceeded():
-    # all-ones bits: q lands at 2, r = 0; every fill then makes the
-    # non-canonical constant 0, which is rejected forever
-    config = GeneratorConfig(n=2, p=HALF, seed=0, max_rejections=5)
+    # n = 5, p = 1/2: category bits 0, 1 land in q = 1, whose m = 4 free
+    # variables are rejection-sampled, and direction bit 0 picks r = 1.
+    # Each attempt then takes the variable-set rank, the forcing value and
+    # 16 fill words; all-zeros fills make h all zeros, which q = 1 rejects
+    attempt = [(3, 0), (1, 0), (32 * 16, 0)]
+    script = [(1, 0), (1, 1), (1, 0)] + attempt * 5
+    config = GeneratorConfig(n=5, p=HALF, seed=0, max_rejections=5)
     with pytest.raises(RejectionLimitExceeded) as info:
-        generate(config, ConstantBits())
+        generate(config, ScriptedBits(script))
     assert info.value.rejections == 5
-    assert info.value.q == 2 and info.value.r == 0
+    assert info.value.q == 1 and info.value.r == 1
+
+
+LAW_BIASES = [Fraction(1, 100), Fraction(1, 3), HALF, Fraction(99, 100)]
+
+
+@pytest.mark.parametrize("p", LAW_BIASES, ids=str)
+@pytest.mark.parametrize("r", [0, 1])
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("m", range(DIRECT_MAX_M + 1))
+def test_direct_cuts_equal_accepted_route_sums(m, q, r, p):
+    # the direct draw's groups hold exactly the (forcing values, fill)
+    # routes that the accept test takes, and each cut point is the running
+    # integer sum of their bias-p weights a^|g| (b - a)^(2^m - |g|)
+    a, b = p.numerator, p.denominator
+    size = 1 << m
+    accepted = {
+        (s, g) for s in range(1 << q) for g in range(1 << size) if _accepts(g, r, m, q, s)
+    }
+    groups, (cuts, total), _ = _direct_table(category_weights(m + q, p), q, r)
+    routes, running = set(), 0
+    for (free, fills), cut in zip(groups, cuts, strict=True):
+        assert len({g.bit_count() for g in fills}) == 1
+        group = {(s, g) for s in range(1 << free) for g in fills}
+        assert not group & routes
+        routes |= group
+        running += sum(a ** g.bit_count() * (b - a) ** (size - g.bit_count()) for _, g in group)
+        assert cut == running
+    assert routes == accepted
+    assert total == running
+
+
+@pytest.mark.parametrize("p", LAW_BIASES, ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_direct_law_matches_census_chi_square(n, p):
+    # the whole table law against the exhaustive census, with no rejected
+    # attempt: every category at n <= 4 is drawn directly
+    gen = CanalizingGenerator(GeneratorConfig(n=n, p=p, seed=100 * n + p.denominator))
+    counts = Counter()
+    for table, record in gen.draws(20000):
+        assert record.rejections == 0
+        counts[table.bits] += 1
+    assert chi_square_passes(counts, canalizing_law(n, p))
+
+
+def test_category_weights_build_no_direct_tables():
+    # the direct tables are built on a category's first draw, never by
+    # category_weights, and the wide draws at n = 14 never reach one
+    _accepted_fills.cache_clear()
+    for n, p in ((16, Fraction(1, 3)), (14, HALF)):
+        assert category_weights(n, p).direct == {}
+    assert _accepted_fills.cache_info().currsize == 0
+    for p in (HALF, Fraction(1, 3)):
+        gen = CanalizingGenerator(GeneratorConfig(n=14, p=p, seed=14))
+        assert all(record.q < 14 - DIRECT_MAX_M for _, record in gen.draws(30))
+        assert gen.weights.direct == {}
+    assert _accepted_fills.cache_info().currsize == 0
 
 
 def test_config_validation():
