@@ -16,6 +16,7 @@ from .exact_counts import (
     scientific_string,
 )
 from .generator import (
+    STREAM_VERSION,
     CanalizingGenerator,
     CategoryWeights,
     DrawRecord,
@@ -28,6 +29,7 @@ from .generator import (
 from .limits import RangeError
 from .oracle import (
     ClassCensus,
+    both_ways_prob_from_census,
     census_to_json,
     class_prob_from_census,
     enumerate_classify,
@@ -84,6 +86,7 @@ __all__ = [
     "ProbBreakdown",
     "prob_breakdown",
     "decimal_string",
+    "STREAM_VERSION",
     "GeneratorConfig",
     "CategoryWeights",
     "DrawRecord",
@@ -96,6 +99,7 @@ __all__ = [
     "enumerate_classify",
     "prob_from_census",
     "class_prob_from_census",
+    "both_ways_prob_from_census",
     "census_to_json",
     "profile_census",
 ]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .limits import DEFAULT_COUNT_MAX_N, RangeError, check_n
+from .limits import DEFAULT_COUNT_MAX_N, RangeError, check_k, check_n
 from .probability import _BiasPowers, _canalizing_num, _exactly_num, _round_significant
 
 __all__ = [
@@ -52,8 +52,7 @@ def count_exact_k(n: int, k: int) -> int:
     functions are counted at k = n.
     """
     check_n(n, DEFAULT_COUNT_MAX_N)
-    if not 1 <= k <= n:
-        raise RangeError(f"k must satisfy 1 <= k <= n={n}, got {k}")
+    check_k(n, k)
     both_ways = 2 * n if k == 1 else 0
     return _nonnegative(2 * _exactly_num(_BiasPowers(n, Fraction(1, 2)), k) + both_ways)
 

@@ -44,13 +44,13 @@ rejection of values at or above its denominator.
 
 The bit expansion walks a binary trie whose nodes are the dyadic
 intervals; each node either lies inside one category or needs another
-bit, a decision that depends only on the cut points. ``CategoryWeights``
-memoizes these decisions as nodes are reached, so once a path has been
-walked a draw along it costs one dict lookup per random bit and no
-arithmetic on the cut points, which reach 85 kbit at n = 16, p = 1/3.
-The memo consumes no random bits and changes no draw. Its entries are
-deterministic, so threads that share one ``CategoryWeights`` at worst
-store the same entry twice.
+bit, a decision that depends only on the cut points. Each cut set, a
+``_Cuts``, owns its trie and memoizes these decisions as nodes are
+reached, so once a path has been walked a draw along it costs one dict
+lookup per random bit and no arithmetic on the cut points, which reach
+85 kbit at n = 16, p = 1/3. The trie consumes no random bits and changes
+no draw. Its entries are deterministic, so threads that share one
+``CategoryWeights`` at worst store the same entry twice.
 
 An attempt works on its fill alone. The fill is the table g of the free
 inputs (the m = n - q variables outside the chosen set, in ascending
@@ -92,8 +92,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
 
-from .limits import DEFAULT_GEN_MAX_N, check_n
-from .probability import _class_numerators, validate_bias
+from .limits import DEFAULT_GEN_MAX_N, check_n, is_integer
+from .probability import _BiasPowers, _class_numerators, validate_bias
 # classify is not called here: perfbench's traced run wraps
 # canalis.generator.classify by name and reads its call count, which stays
 # importable until that run reads counters instead
@@ -141,36 +141,71 @@ class GeneratorConfig:
     def __post_init__(self):
         check_n(self.n, DEFAULT_GEN_MAX_N)
         object.__setattr__(self, "p", validate_bias(self.p, strict=True))
-        if not isinstance(self.seed, int) or not 0 <= self.seed < (1 << 64):
+        if not is_integer(self.seed) or not 0 <= self.seed < (1 << 64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if self.max_rejections < 1:
-            raise ValueError(f"max_rejections must be >= 1, got {self.max_rejections}")
+        if not is_integer(self.max_rejections) or self.max_rejections < 1:
+            raise ValueError(f"max_rejections must be an integer >= 1, got {self.max_rejections!r}")
+
+
+@dataclass(frozen=True)
+class _Cuts:
+    """Exact categorical draw against cut points N_j / D: ascending
+    integer ``numerators``, the last equal to ``denom``.
+
+    ``draw`` extends a uniform bit expansion numer / 2^bits until the
+    dyadic interval it pins down lies inside a single category; empty
+    categories (repeated cuts) are never selected. Expected bit usage is
+    O(1 + entropy of the law).
+
+    The interval is the trie node ``(1 << bits) | numer``, and ``trie``
+    maps each node reached to its category, or to -1 when it needs
+    another bit.
+    """
+
+    numerators: tuple[int, ...]
+    denom: int
+    trie: dict[int, int] = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def draw(self, rng) -> int:
+        trie = self.trie
+        node = 1
+        while True:
+            idx = trie.get(node)
+            if idx is None:
+                idx = trie[node] = self._resolve(node)
+            if idx >= 0:
+                return idx
+            node = (node << 1) | rng.getrandbits(1)
+
+    def _resolve(self, node: int) -> int:
+        """The category whose cuts contain trie node ``node``'s dyadic
+        interval [numer, numer + 1) / 2^bits, or -1 if a cut splits it.
+        Both tests are integer: the cuts at or below the interval's low end
+        are those N_j <= numer * D >> bits, and the interval fits under
+        N_idx iff (numer + 1) * D <= N_idx << bits."""
+        bits = node.bit_length() - 1
+        lo = (node ^ (1 << bits)) * self.denom
+        idx = bisect_right(self.numerators, lo >> bits)
+        return idx if lo + self.denom <= self.numerators[idx] << bits else -1
 
 
 @dataclass(frozen=True)
 class CategoryWeights:
-    """Cut points of the category draw for one (n, p), as integer
-    numerators over one common denominator: ``q_scaled`` for the
-    cumulative shares of the categories q = 0..n in Pr[C], and
-    ``share_scaled[k]`` for the positive direction's share inside a
-    nonempty category k. ``q_memo`` and ``share_memo[k]`` hold the
-    ``_draw_index`` trie of each, filled as draws reach its nodes.
-    ``direct[q, r]`` holds the route groups, weight cuts and trie of a
-    category with at most ``DIRECT_MAX_M`` free variables, built on its
-    first draw (see ``_direct_table``)."""
+    """Cut sets of the category draw for one (n, p), as integer
+    numerators over one common denominator: ``q`` for the cumulative
+    shares of the categories q = 0..n in Pr[C], and ``share[k]`` for the
+    positive direction's share inside a nonempty category k.
+    ``direct[q, r]`` holds the route groups and weight cuts of a category
+    with at most ``DIRECT_MAX_M`` free variables, built on its first draw
+    (see ``_direct_table``)."""
 
     n: int
     p: Fraction
-    q_scaled: tuple[tuple[int, ...], int] = field(repr=False)
-    share_scaled: dict[int, tuple[tuple[int, ...], int]] = field(repr=False)
-    q_memo: dict[int, int] = field(default_factory=dict, init=False, compare=False, repr=False)
-    share_memo: dict[int, dict[int, int]] = field(init=False, compare=False, repr=False)
-    direct: dict[tuple[int, int], tuple] = field(
+    q: _Cuts = field(repr=False)
+    share: dict[int, _Cuts] = field(repr=False)
+    direct: dict[tuple[int, int], tuple[tuple, _Cuts]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
-
-    def __post_init__(self):
-        object.__setattr__(self, "share_memo", {k: {} for k in self.share_scaled})
 
 
 def category_weights(n: int, p) -> CategoryWeights:
@@ -185,9 +220,9 @@ def category_weights(n: int, p) -> CategoryWeights:
         n=n,
         p=p,
         # the partition check makes the last running sum c
-        q_scaled=(tuple(accumulate(sizes)), c),
-        # _draw_index never selects an empty category, so it needs no share
-        share_scaled={k: ((pce[k], size), size) for k, size in enumerate(sizes) if k and size},
+        q=_Cuts(tuple(accumulate(sizes)), c),
+        # the q draw never selects an empty category, so it needs no share
+        share={k: _Cuts((pce[k], size), size) for k, size in enumerate(sizes) if k and size},
     )
 
 
@@ -204,47 +239,6 @@ class DrawRecord:
     subset: tuple[int, ...]
     values: dict[int, int]
     rejections: int
-
-
-def _draw_index(
-    scaled: tuple[tuple[int, ...], int], rng, memo: dict[int, int] | None = None
-) -> int:
-    """Exact categorical draw against cut points N_j / D given as
-    ``(N, D)``: ascending integer numerators, the last equal to D.
-
-    Extends a uniform bit expansion numer / 2^bits until the dyadic
-    interval it pins down lies inside a single category; empty categories
-    (repeated cuts) are never selected. Expected bit usage is
-    O(1 + entropy of the law).
-
-    The interval is the trie node ``(1 << bits) | numer``, and ``memo``
-    maps each node reached to its category, or to -1 when it needs
-    another bit; pass the same memo for the same cut points only. With no
-    memo the draw uses a fresh one.
-    """
-    if memo is None:
-        memo = {}
-    node = 1
-    while True:
-        idx = memo.get(node)
-        if idx is None:
-            idx = memo[node] = _resolve(scaled, node)
-        if idx >= 0:
-            return idx
-        node = (node << 1) | rng.getrandbits(1)
-
-
-def _resolve(scaled: tuple[tuple[int, ...], int], node: int) -> int:
-    """The category whose cuts contain trie node ``node``'s dyadic
-    interval [numer, numer + 1) / 2^bits, or -1 if a cut splits it. Both
-    tests are integer: the cuts at or below the interval's low end are
-    those N_j <= numer * D >> bits, and the interval fits under N_idx iff
-    (numer + 1) * D <= N_idx << bits."""
-    numerators, denom = scaled
-    bits = node.bit_length() - 1
-    lo = (node ^ (1 << bits)) * denom
-    idx = bisect_right(numerators, lo >> bits)
-    return idx if lo + denom <= numerators[idx] << bits else -1
 
 
 def _uniform_below(rng, m: int) -> int:
@@ -268,11 +262,11 @@ def _subsets(n: int, q: int) -> tuple[tuple[int, ...], ...]:
 def sample_category(weights: CategoryWeights, rng) -> tuple[int, int | None]:
     """Draw (q, r): q = 0 for the both-ways category, else the exact
     variable count, with r the direction drawn inside category q."""
-    q = _draw_index(weights.q_scaled, rng, weights.q_memo)
+    q = weights.q.draw(rng)
     if q == 0:
         return 0, None
-    r = 1 if _draw_index(weights.share_scaled[q], rng, weights.share_memo[q]) == 0 else 0
-    return q, r
+    # index 0 of a direction cut set is the positive direction
+    return q, 1 - weights.share[q].draw(rng)
 
 
 @lru_cache(maxsize=128)
@@ -404,30 +398,28 @@ def _accepted_fills(m: int, lone: bool) -> tuple[tuple[int, bool, tuple[int, ...
     return tuple((w, pinned, tuple(fills)) for (w, pinned), fills in sorted(groups.items()))
 
 
-def _direct_table(weights: CategoryWeights, q: int, r: int) -> tuple:
+def _direct_table(weights: CategoryWeights, q: int, r: int) -> tuple[tuple, _Cuts]:
     """The direct draw of category (q, r) with m = n - q <= DIRECT_MAX_M
-    free variables, stored on ``weights``: ``(groups, scaled, memo)``.
+    free variables, stored on ``weights``: ``(groups, cuts)``.
 
     ``groups[j]`` is ``(free, fills)``, the fills of one accepted weight
     group as tables g in draw order, and the number of free forcing bits
     of each of its routes (q, or 0 for the constant). A group of weight w
     in r-space holds len(fills) * 2^free routes per variable set, each of
-    bias-p weight p_r^w * (1 - p_r)^(2^m - w); with p_r = a_r / b, the
-    cut points ``scaled`` are the running sums of those counts times
-    a_r^w * (b - a_r)^(2^m - w), and ``memo`` is their ``_draw_index``
-    trie."""
+    bias-p weight p_r^w * (1 - p_r)^(2^m - w); the cut points ``cuts`` are
+    the running sums of those counts times that weight's integer numerator
+    over b^(2^m), for p_r = a_r / b."""
     m = weights.n - q
     size = 1 << m
-    b = weights.p.denominator
-    a_r = weights.p.numerator if r == 1 else b - weights.p.numerator
+    powers = _BiasPowers(m, weights.p if r == 1 else 1 - weights.p)
     flip = 0 if r == 1 else (1 << size) - 1
     groups, cuts, total = [], [], 0
     for w, pinned, fills in _accepted_fills(m, q == 1):
         free = 0 if pinned else q
-        total += (len(fills) << free) * a_r**w * (b - a_r) ** (size - w)
+        total += (len(fills) << free) * powers.term(w, size - w)
         cuts.append(total)
         groups.append((free, tuple(h ^ flip for h in fills)))
-    table = weights.direct[q, r] = (tuple(groups), (tuple(cuts), total), {})
+    table = weights.direct[q, r] = (tuple(groups), _Cuts(tuple(cuts), total))
     return table
 
 
@@ -464,8 +456,8 @@ def generate(
     subsets = _subsets(n, q)
     rejections = 0
     if m <= DIRECT_MAX_M:
-        groups, scaled, memo = weights.direct.get((q, r)) or _direct_table(weights, q, r)
-        free, fills = groups[_draw_index(scaled, rng, memo)]
+        groups, cuts = weights.direct.get((q, r)) or _direct_table(weights, q, r)
+        free, fills = groups[cuts.draw(rng)]
         route = _uniform_below(rng, len(subsets) * len(fills) << free)
         route, rank = divmod(route, len(subsets))
         s_bits, at = divmod(route, len(fills))

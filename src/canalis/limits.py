@@ -36,10 +36,23 @@ def effective_cap(default: int) -> int:
     return value
 
 
+def is_integer(value) -> bool:
+    """An integer argument is an ``int`` and not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_n(n: int, default_cap: int) -> None:
     """Validate ``1 <= n <= cap`` for the effective cap."""
     cap = effective_cap(default_cap)
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not is_integer(n):
         raise RangeError(f"n must be an integer, got {n!r}")
     if not 1 <= n <= cap:
         raise RangeError(f"n must satisfy 1 <= n <= {cap}, got {n}")
+
+
+def check_k(n: int, k: int) -> None:
+    """Validate an integer ``1 <= k <= n`` for an already checked ``n``."""
+    if not is_integer(k):
+        raise RangeError(f"k must be an integer, got {k!r}")
+    if not 1 <= k <= n:
+        raise RangeError(f"k must satisfy 1 <= k <= n={n}, got {k}")

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy  # noqa: F401  unused; perfbench's import-time report reads numpy's entry
 
-from .limits import RangeError
+from .limits import RangeError, is_integer
 from .probability import _BiasPowers, _direction_positive, validate_bias
 from .truth_table import variable_mask
 
@@ -64,7 +64,7 @@ class ClassCensus:
 
 def enumerate_classify(n: int) -> ClassCensus:
     """Classify all 2^(2^n) functions; only feasible for n <= 4."""
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= ENUMERATE_MAX_N:
+    if not is_integer(n) or not 1 <= n <= ENUMERATE_MAX_N:
         raise RangeError(
             f"exhaustive classification supports 1 <= n <= {ENUMERATE_MAX_N} "
             f"(use profile_census for n <= {ORACLE_MAX_N}), got {n!r}"
@@ -210,6 +210,6 @@ def _profile_counts(n: int) -> dict[tuple[int, int, int], int]:
 def profile_census(n: int) -> ClassCensus:
     """The census of all 2^(2^n) functions read off the profile DP, for
     1 <= n <= 6; n = 6 takes about 1 s."""
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= ORACLE_MAX_N:
+    if not is_integer(n) or not 1 <= n <= ORACLE_MAX_N:
         raise RangeError(f"the profile census supports 1 <= n <= {ORACLE_MAX_N}, got {n!r}")
     return _census(n, _profile_counts(n))

@@ -24,11 +24,10 @@ from decimal import Decimal
 from fractions import Fraction
 from math import comb, gcd
 
-from .limits import DEFAULT_PROB_MAX_N, RangeError, check_n
+from .limits import DEFAULT_PROB_MAX_N, check_k, check_n
 
 __all__ = [
     "parse_bias",
-    "validate_bias",
     "prob_canalizing",
     "prob_both_ways",
     "prob_canalizing_on_block",
@@ -203,8 +202,7 @@ def prob_canalizing_on_block(n: int, k: int, p, direction="positive") -> Fractio
     on a fixed block of k variables: 2^k (p^(2^n - 2^(n-k)) - p^(2^n)),
     with p complemented for the negative direction."""
     n, p = _checked(n, p)
-    if not 1 <= k <= n:
-        raise RangeError(f"k must satisfy 1 <= k <= n={n}, got {k}")
+    check_k(n, k)
     ctx = _BiasPowers(n, p)
     if not _direction_positive(direction):
         ctx = ctx.complemented()
@@ -215,8 +213,7 @@ def prob_exactly_k(n: int, k: int, p, direction="positive") -> Fraction:
     """Probability of canalizing in one direction (and not the other) on
     exactly k variables; constants belong to the k = n classes."""
     n, p = _checked(n, p)
-    if not 1 <= k <= n:
-        raise RangeError(f"k must satisfy 1 <= k <= n={n}, got {k}")
+    check_k(n, k)
     ctx = _BiasPowers(n, p)
     if not _direction_positive(direction):
         ctx = ctx.complemented()

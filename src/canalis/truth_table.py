@@ -75,12 +75,6 @@ class CanalizingProfile:
     def canalizing(self) -> bool:
         return bool(self.positive or self.negative)
 
-    def positive_variables(self) -> frozenset[int]:
-        return frozenset(i for i, _ in self.positive)
-
-    def negative_variables(self) -> frozenset[int]:
-        return frozenset(i for i, _ in self.negative)
-
 
 @lru_cache(maxsize=None)
 def variable_mask(n: int, i: int, s: int) -> int:

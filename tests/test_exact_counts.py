@@ -86,6 +86,9 @@ def test_count_exact_k_range_errors():
         count_exact_k(3, 4)
     with pytest.raises(RangeError):
         count_exact_k(0, 1)
+    for k in (True, 1.5):
+        with pytest.raises(RangeError):
+            count_exact_k(3, k)
 
 
 @pytest.mark.parametrize("n", range(1, 17))

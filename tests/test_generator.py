@@ -26,8 +26,8 @@ from canalis.generator import (
     _accepted_fills,
     _accepts,
     _deposit,
+    _Cuts,
     _direct_table,
-    _draw_index,
     _fill,
 )
 from sampler_checks import canalizing_law, chi_square_passes, record_consistent
@@ -63,25 +63,24 @@ class SingleBits:
         return self.rng.getrandbits(1)
 
 
-def _cuts(scaled):
-    numerators, denom = scaled
-    return [Fraction(v, denom) for v in numerators]
+def _cuts(cuts):
+    return [Fraction(v, cuts.denom) for v in cuts.numerators]
 
 
 def test_category_weights_n1():
     w = category_weights(1, HALF)
     # both-ways 1/2, then the positive and negative q = 1 classes 1/4 each
-    assert _cuts(w.q_scaled) == [HALF, 1]
-    assert _cuts(w.share_scaled[1]) == [HALF, 1]
+    assert _cuts(w.q) == [HALF, 1]
+    assert _cuts(w.share[1]) == [HALF, 1]
 
 
 def test_category_weights_n2():
     w = category_weights(2, HALF)
     # Pr[C] = 7/8 = 1/4 both-ways + 0 at q = 1 + 5/16 + 5/16 at q = 2
-    assert _cuts(w.q_scaled) == [Fraction(2, 7), Fraction(2, 7), 1]
+    assert _cuts(w.q) == [Fraction(2, 7), Fraction(2, 7), 1]
     # the empty category q = 1 gets no direction cut
-    assert set(w.share_scaled) == {2}
-    assert _cuts(w.share_scaled[2]) == [HALF, 1]
+    assert set(w.share) == {2}
+    assert _cuts(w.share[2]) == [HALF, 1]
 
 
 CUT_BIASES = [HALF, Fraction(1, 3), Fraction(2, 3), Fraction(1, 100), Fraction(99, 100)]
@@ -96,10 +95,10 @@ def test_cut_points_equal_class_probabilities(n, p):
     w = category_weights(n, p)
     b = prob_breakdown(n, p)
     sizes = [b.pr_bc] + [b.pr_pce[k] + b.pr_nce[k] for k in range(1, n + 1)]
-    assert _cuts(w.q_scaled) == [s / b.pr_c for s in accumulate(sizes)]
-    assert set(w.share_scaled) == {k for k in range(1, n + 1) if sizes[k]}
-    for k, scaled in w.share_scaled.items():
-        assert _cuts(scaled) == [b.pr_pce[k] / sizes[k], 1]
+    assert _cuts(w.q) == [s / b.pr_c for s in accumulate(sizes)]
+    assert set(w.share) == {k for k in range(1, n + 1) if sizes[k]}
+    for k, cuts in w.share.items():
+        assert _cuts(cuts) == [b.pr_pce[k] / sizes[k], 1]
 
 
 @pytest.mark.parametrize("n", [0, 17, True])
@@ -127,42 +126,41 @@ def test_generate_rejects_weights_of_another_law():
 
 
 def test_sample_index_scripted():
-    cuts = ((2, 2, 7), 7)
+    scaled = ((2, 2, 7), 7)
     # bits 0,0 pin the expansion into [0, 1/4) inside [0, 2/7)
-    assert _draw_index(cuts, ScriptedBits([(1, 0), (1, 0)])) == 0
+    assert _Cuts(*scaled).draw(ScriptedBits([(1, 0), (1, 0)])) == 0
     # a single 1 bit pins [1/2, 1) past both 2/7 cuts
-    assert _draw_index(cuts, ScriptedBits([(1, 1)])) == 2
+    assert _Cuts(*scaled).draw(ScriptedBits([(1, 1)])) == 2
 
 
 def test_sample_index_skips_empty_category():
-    cuts = ((1, 1, 2), 2)
+    scaled = ((1, 1, 2), 2)
     for script in ([(1, 0), (1, 0)], [(1, 1)], [(1, 0), (1, 1)]):
-        idx = _draw_index(cuts, ScriptedBits(list(script)))
+        idx = _Cuts(*scaled).draw(ScriptedBits(list(script)))
         assert idx != 1
 
 
 def test_sample_index_degenerate_no_bits():
     # single category taking all mass resolves without consuming bits
-    assert _draw_index(((1,), 1), ScriptedBits([])) == 0
-    assert _draw_index(((0, 5), 5), ScriptedBits([])) == 1
+    assert _Cuts((1,), 1).draw(ScriptedBits([])) == 0
+    assert _Cuts((0, 5), 5).draw(ScriptedBits([])) == 1
 
 
 @pytest.mark.parametrize("p", CUT_BIASES, ids=str)
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 14, 16])
 def test_memoized_draw_index_matches_integer_walk(n, p):
     # every cut set of the weights, the q cuts and each direction's, with
-    # a cold memo per draw and with the weights' own memo warming up: the
+    # a cold trie per draw and with the weights' own trie warming up: the
     # same index after the same number of one-bit calls as the plain walk
     w = category_weights(n, p)
-    cut_sets = [(w.q_scaled, w.q_memo)]
-    cut_sets += [(w.share_scaled[k], w.share_memo[k]) for k in w.share_scaled]
-    for c, (scaled, memo) in enumerate(cut_sets):
-        numerators = scaled[0]
+    for c, cuts in enumerate([w.q, *w.share.values()]):
+        numerators = cuts.numerators
+        scaled = (numerators, cuts.denom)
         ref, cold, warm = SingleBits(c), SingleBits(c), SingleBits(c)
         for _ in range(200):
             idx = naive_ref.draw_index(scaled, ref)
-            assert _draw_index(scaled, cold) == idx
-            assert _draw_index(scaled, warm, memo) == idx
+            assert _Cuts(*scaled).draw(cold) == idx
+            assert cuts.draw(warm) == idx
             assert ref.calls == cold.calls == warm.calls
             # an empty category (a repeated cut, as q = 1 at n = 2) is never drawn
             assert numerators[idx] > (numerators[idx - 1] if idx else 0)
@@ -173,7 +171,7 @@ def test_draw_index_memo_stays_small():
     rng = random.Random(16)
     for _ in range(10**4):
         sample_category(w, rng)
-    nodes = len(w.q_memo) + sum(len(memo) for memo in w.share_memo.values())
+    nodes = len(w.q.trie) + sum(len(cuts.trie) for cuts in w.share.values())
     assert 0 < nodes <= 300
 
 
@@ -412,9 +410,9 @@ def test_direct_cuts_equal_accepted_route_sums(m, q, r, p):
     accepted = {
         (s, g) for s in range(1 << q) for g in range(1 << size) if _accepts(g, r, m, q, s)
     }
-    groups, (cuts, total), _ = _direct_table(category_weights(m + q, p), q, r)
+    groups, cuts = _direct_table(category_weights(m + q, p), q, r)
     routes, running = set(), 0
-    for (free, fills), cut in zip(groups, cuts, strict=True):
+    for (free, fills), cut in zip(groups, cuts.numerators, strict=True):
         assert len({g.bit_count() for g in fills}) == 1
         group = {(s, g) for s in range(1 << free) for g in fills}
         assert not group & routes
@@ -422,7 +420,7 @@ def test_direct_cuts_equal_accepted_route_sums(m, q, r, p):
         running += sum(a ** g.bit_count() * (b - a) ** (size - g.bit_count()) for _, g in group)
         assert cut == running
     assert routes == accepted
-    assert total == running
+    assert cuts.denom == running
 
 
 @pytest.mark.parametrize("p", LAW_BIASES, ids=str)
@@ -436,6 +434,25 @@ def test_direct_law_matches_census_chi_square(n, p):
         assert record.rejections == 0
         counts[table.bits] += 1
     assert chi_square_passes(counts, canalizing_law(n, p))
+
+
+@pytest.mark.parametrize("n, p", [(3, HALF), (8, Fraction(1, 3))], ids=str)
+def test_shared_weights_give_each_stream_its_own_draws(n, p):
+    # two seeded streams interleaved draw by draw over one weights object
+    # equal each stream run alone with weights of its own; at n = 3 every
+    # category is direct, so the lazily built direct tables are shared too
+    configs = [GeneratorConfig(n=n, p=p, seed=seed) for seed in (1, 2)]
+    alone = []
+    for config in configs:
+        rng, weights = random.Random(config.seed), category_weights(n, p)
+        alone.append([generate(config, rng, weights) for _ in range(300)])
+    shared = category_weights(n, p)
+    rngs = [random.Random(config.seed) for config in configs]
+    for j in range(300):
+        for config, rng, draws in zip(configs, rngs, alone):
+            assert generate(config, rng, shared) == draws[j]
+    if n == 3:
+        assert shared.direct
 
 
 def test_category_weights_build_no_direct_tables():
@@ -461,6 +478,10 @@ def test_config_validation():
         GeneratorConfig(n=2, p=HALF, seed=1 << 64)
     with pytest.raises(ValueError):
         GeneratorConfig(n=2, p=HALF, seed=0, max_rejections=0)
+    # integers follow check_n's rule: a bool, a float or a string is no count
+    for bad in ({"seed": True}, *({"max_rejections": v} for v in (True, 2.5, "9"))):
+        with pytest.raises(ValueError):
+            GeneratorConfig(n=2, p=HALF, **bad)
     with pytest.raises(Exception):
         GeneratorConfig(n=0, p=HALF, seed=0)
 

@@ -167,6 +167,12 @@ def test_range_errors():
         prob_exactly_k(3, 4, HALF)
     with pytest.raises(RangeError):
         prob_canalizing_on_block(3, 0, HALF)
+    with pytest.raises(RangeError):
+        prob_exactly_k(3, 1.5, HALF)
+    with pytest.raises(RangeError):
+        prob_canalizing_on_block(3, 2.0, Fraction(1, 3))
+    with pytest.raises(RangeError):
+        prob_exactly_k(3, True, HALF)
 
 
 def test_bias_validation():

@@ -238,8 +238,8 @@ def test_both_ways_exclusive_to_single_variable(n):
         profile = classify(TruthTable(n, value))
         if profile.positive and profile.negative:
             count += 1
-            pos_vars = profile.positive_variables()
-            neg_vars = profile.negative_variables()
+            pos_vars = {i for i, _ in profile.positive}
+            neg_vars = {i for i, _ in profile.negative}
             assert pos_vars == neg_vars and len(pos_vars) == 1
             assert profile.both_ways_variable in pos_vars
             assert value in (
