@@ -38,9 +38,9 @@ extended uniform bit expansion against cumulative cut points, precomputed
 once per (n, p). The cut points are the class numerators themselves, the
 integers over b^(2^n) that ``probability`` sums for p = a/b: the
 categories' running sums over the numerator of Pr[C], and a direction's
-numerator over its category's. Each biased fill bit is an exact integer
-comparison of a ``width``-bit value against the bias numerator, with
-rejection of values at or above its denominator.
+numerator over its category's. A biased fill compares a uniform bit
+expansion per coin with the binary expansion of p, for all of its coins
+at once (see ``_fill``).
 
 The bit expansion walks a binary trie whose nodes are the dyadic
 intervals; each node either lies inside one category or needs another
@@ -54,22 +54,22 @@ no draw. Its entries are deterministic, so threads that share one
 
 An attempt works on its fill alone. The fill is the table g of the free
 inputs (the m = n - q variables outside the chosen set, in ascending
-order), with its coins in ascending input order. Its values are drawn in
-batches: one ``getrandbits`` call of a multiple of 32 bits gives the
-32-bit words that the missing values would take from one
-``getrandbits(width)`` call each, and a call is repeated only for the
-values rejected. With the forced outputs r, the table lands in its class
-iff no free variable canalizes in direction r, that is, no half-cube of
-g is r everywhere; two edge cases (the constants, and the lone variable
-at q = 1 canalizing both ways) are decided when g is r everywhere or
-nowhere. Only the accepted attempt becomes a table, by inserting the
-chosen variables into the index of g with mask shifts.
+order): bit x of g is the output on the x-th free input. It is drawn in
+rounds of one ``getrandbits(2^m)`` call each, every round deciding the
+coins whose expansion first differs from p's at that digit; p = 1/2
+takes one round, other biases about m + 2. With the forced outputs r,
+the table lands in its class iff no free variable canalizes in direction
+r, that is, no half-cube of g is r everywhere; two edge cases (the
+constants, and the lone variable at q = 1 canalizing both ways) are
+decided when g is r everywhere or nowhere. Only the accepted attempt
+becomes a table, by inserting the chosen variables into the index of g
+with mask shifts.
 
 Every random bit comes from ``rng.getrandbits``; with ``random.Random``
 (the Mersenne Twister, Python's default) a fixed seed therefore
 reproduces the exact output sequence across runs and Python releases,
 which tests/test_generator.py locks with golden digests. Any other source
-of uniform ``getrandbits`` words keeps the law exact. ``STREAM_VERSION``
+of uniform ``getrandbits`` bits keeps the law exact. ``STREAM_VERSION``
 names the seed -> output mapping; it changes only with a deliberate break
 of the stream. The per-draw consumption order is: category bits, then
 either the both-ways variable and its forcing value, or direction bits
@@ -79,7 +79,7 @@ and then
   by C(n, q) and by the group size are the variable-set rank and the fill,
   and whose quotient is the forcing values;
 - for m >= 4, per attempt the variable-set rank, forcing values, and fill
-  words.
+  rounds.
 """
 
 from __future__ import annotations
@@ -112,9 +112,10 @@ __all__ = [
 ]
 
 
+# version 3 draws each fill in rounds of one getrandbits(2^m) call;
 # version 2 draws the categories with at most DIRECT_MAX_M free variables
 # directly; version 1 rejection-sampled every category
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 DIRECT_MAX_M = 3
 
 
@@ -269,55 +270,34 @@ def sample_category(weights: CategoryWeights, rng) -> tuple[int, int | None]:
     return q, 1 - weights.share[q].draw(rng)
 
 
-@lru_cache(maxsize=128)
-def _byte_coins(numer: int, denom: int) -> tuple[bytes, bytes]:
-    """``bytes.translate`` arguments that turn the top bytes of 32-bit
-    words into coins of bias numer / denom, for a denominator of at most
-    2^8: the word's value v is its top ``width`` bits, the byte maps to
-    b"1" if v < numer and to b"0" if v < denom, and is deleted otherwise."""
-    drop = 8 - (denom - 1).bit_length()
-    table = bytes(48 + ((b >> drop) < numer) for b in range(256))
-    rejected = bytes(b for b in range(256) if (b >> drop) >= denom)
-    return table, rejected
+def _fill(rng, numer: int, denom: int, size: int) -> int:
+    """``size`` independent coins of bias p = numer / denom, coin x as
+    bit x of the result.
 
-
-def _fill(rng, numer: int, denom: int, count: int) -> bytes:
-    """``count`` exact coins of bias numer / denom as the characters
-    b"0" / b"1", in draw order.
-
-    Each coin is one value v of ``width`` = bit length of denom - 1 bits,
-    rejected when v >= denom, exactly as ``getrandbits(width)`` would give
-    it: CPython's Mersenne Twister builds ``getrandbits(k)`` from
-    ceil(k / 32) 32-bit words, least significant first, keeping the top
-    bits of the last word, and ``getrandbits(32 * N)`` returns N words
-    packed the same way. So the words of all the values still missing are
-    drawn in one call and the accepted coins kept; a value gives at most
-    one coin, so no word is drawn past the last coin and the stream is the
-    one a call per value consumes.
+    Coin x is 1 iff a uniform U_x in [0, 1) lies below p. Every coin still
+    undecided compares its U_x with p one binary digit at a time: p's next
+    digit comes from doubling the remainder, and one round draws the next
+    digit of every U_x at once as the bits of ``getrandbits(size)``. Where
+    p's digit is 1 and U_x's is 0, U_x < p and the coin is 1; where p's
+    digit is 0 and U_x's is 1, U_x > p and the coin is 0; elsewhere the
+    coin stays undecided. The rounds stop when no coin is undecided, or
+    when the remainder is 0: p's expansion has ended, so an undecided U_x
+    is at least p and its coin is 0. Each round decides about half of the
+    undecided coins, so a fill takes about log2(size) + 2 rounds, and one
+    round at p = 1/2.
     """
-    width = (denom - 1).bit_length()
-    span = -(-width // 32)  # words per value
-    chunks = []
-    while count:
-        data = rng.getrandbits(32 * span * count).to_bytes(4 * span * count, "little")
-        if width <= 8:
-            chunk = data[3::4].translate(*_byte_coins(numer, denom))
+    coins, undecided = 0, (1 << size) - 1
+    while undecided and numer:
+        numer <<= 1
+        u = rng.getrandbits(size)
+        ones = undecided & u
+        if numer >= denom:
+            numer -= denom
+            coins |= undecided ^ ones
+            undecided = ones
         else:
-            chunk = bytes([48 + (v < numer) for v in _word_values(data, width, span) if v < denom])
-        chunks.append(chunk)
-        count -= len(chunk)
-    return b"".join(chunks)
-
-
-def _word_values(data: bytes, width: int, span: int) -> list[int]:
-    """The ``width``-bit values of little-endian words, ``span`` words
-    per value, as ``getrandbits(width)`` builds each from its words."""
-    drop = 32 * span - width
-    low = 32 * (span - 1)
-    keep = (1 << low) - 1
-    step = 4 * span
-    words = (int.from_bytes(data[at : at + step], "little") for at in range(0, len(data), step))
-    return [(v & keep) | (v >> (low + drop)) << low for v in words]
+            undecided ^= ones
+    return coins
 
 
 def _accepts(g: int, r: int, m: int, q: int, s_bits: int) -> bool:
@@ -472,9 +452,7 @@ def generate(
             # route symmetry)
             subset = subsets[_uniform_below(rng, len(subsets))]
             s_bits = rng.getrandbits(q)
-            # bit x of g is the output on the x-th free input in ascending
-            # order; int(..., 2) reads the most significant digit first
-            g = int(_fill(rng, numer, denom, 1 << m)[::-1], 2)
+            g = _fill(rng, numer, denom, 1 << m)
             if _accepts(g, r, m, q, s_bits):
                 break
             rejections += 1

@@ -1,12 +1,13 @@
-"""Checks of sampled tables: consistency with the draw record, and a
-chi-square of drawn tables against the exact law from the census."""
+"""Checks of sampled tables: consistency with the draw record, and
+chi-squares of drawn tables, or of their (q, r, weight), against the
+exact law from the census."""
 
 from fractions import Fraction
 from functools import lru_cache
 
 import scipy.stats as st
 
-from canalis import classify
+from canalis import classify, prob_from_census, profile_census
 from canalis.oracle import _table_profiles
 
 
@@ -53,6 +54,28 @@ def canalizing_law(n, p):
     }
     total = sum(raw.values(), Fraction(0))
     return {bits: weight / total for bits, weight in raw.items()}
+
+
+@lru_cache(maxsize=None)
+def _census(n):
+    return profile_census(n)
+
+
+def category_weight_law(n, p):
+    """The exact bias-p law of a draw's (q, r, weight) conditioned on the
+    canalizing class, n <= 6, read off the profile census: the cells
+    (k, 1, w) and (k, 0, w) from the exactly-k weight enumerators of the
+    positive and negative directions, and the both-ways cell
+    (0, None, 2^(n-1)) as the rest."""
+    census = _census(n)
+    size = 1 << n
+    pr_c = prob_from_census(census, p)
+    law = {}
+    for r, enum in ((1, census.weight_enum_pce), (0, census.weight_enum_nce)):
+        for (k, w), count in enum.items():
+            law[k, r, w] = count * p**w * (1 - p) ** (size - w) / pr_c
+    law[0, None, size // 2] = 1 - sum(law.values())
+    return law
 
 
 def chi_square_passes(observed, law, quantile=0.999, min_expected=5.0):

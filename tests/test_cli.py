@@ -218,7 +218,7 @@ def test_generate_skewed_bias_draws_without_rejection(capsys):
         "generate", "--n", "4", "--p", "1/100", "--count", "500", "--seed", "1",
         "--records",
     )
-    assert doc["params"]["stream"] == 2
+    assert doc["params"]["stream"] == canalis.STREAM_VERSION
     records = doc["result"]["records"]
     assert len(records) == 500
     assert all(record["rejections"] == 0 for record in records if record["q"] >= 4 - 3)

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from itertools import accumulate, combinations
+from math import comb
 from collections import Counter
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from canalis import (
     RejectionLimitExceeded,
     category_weights,
     generate,
+    generator,
     is_canalizing,
     prob_breakdown,
     prob_canalizing,
@@ -30,7 +32,12 @@ from canalis.generator import (
     _direct_table,
     _fill,
 )
-from sampler_checks import canalizing_law, chi_square_passes, record_consistent
+from sampler_checks import (
+    canalizing_law,
+    category_weight_law,
+    chi_square_passes,
+    record_consistent,
+)
 
 HALF = Fraction(1, 2)
 
@@ -230,27 +237,29 @@ def test_generate_deterministic_sequence():
     assert first == second
 
 
-# (n, p, seed, draws, SHA-256 of the stream) of stream version 2. The
+# (n, p, seed, draws, SHA-256 of the stream) of stream version 3. The
 # seed -> output mapping is stable API: these digests may change only with
 # a deliberate, recorded break of the stream, which bumps STREAM_VERSION.
 # The cases cover the constants at q = n (n = 1, 2), the direct draw of
 # every category at n <= 4 and both draws at n = 5, 6, both fill
 # directions, wide fills (n = 12, 14), the largest cut points (n = 16,
-# p = 1/3: 85 kbit) and a bias whose denominator exceeds 2^32, so that each
-# fill coin is a multi-word getrandbits call. The n >= 8 digests are those
-# of version 1: their draws never reach a category with m <= 3.
+# p = 1/3: 85 kbit), a dyadic bias whose fills stop on remainder 0
+# (n = 6, p = 3/4), and at n = 5 a bias just below 1/2 with a long
+# non-dyadic expansion (0.0 then 33 ones: it departs from 1/2 = 0.0111...
+# at digit 35), whose fills compare with p digit after digit. The n <= 4
+# digests are those of version 2: their draws never fill.
 GOLDEN_STREAMS = [
     (1, Fraction(1, 2), 1, 1000, "b9f2e8a6e3524ce418b38dd2c835b3c7ebcd42beb2b7b20e9ce5680c278e2237"),
     (2, Fraction(1, 2), 2, 1000, "f82199979739f7bfe3d99bff842b66053d287a54373807a909513378bcec0fd8"),
     (3, Fraction(1, 2), 3, 1000, "11f6e866841889f8daa74bd03b7c6409933b0339aecbb2d9422e70c27023bef6"),
     (4, Fraction(1, 3), 31337, 1000, "143d9e1262433e7028c93eee6adfd661ee027160a1c6069eed432289df4fa900"),
-    (8, Fraction(1, 3), 8, 200, "4cfa6f09784681ecc1ade07d0f8698cc67576ea41f883292cd89f39490ca3812"),
-    (14, Fraction(1, 3), 14, 6, "ab332cc70f4b6e39d69c46fa8f234bcbacad1520fca97f039da342765c24ebf7"),
-    (12, Fraction(2, 3), 12, 6, "bfdebe44ef473166d1b5e5615e2b8572c394065233d1e59d2e074ba4410d47ef"),
-    (5, Fraction(6103515625, 12207031251), 5, 300, "38692affb2a798f8eb16a64fc9b9c505450888437b8033239c4572a826118c42"),
-    (6, Fraction(3, 4), 6, 300, "068c3d08a9cd40250af5757349bb52dfbb571b63001f90f7cce66c2a9ec47ce7"),
-    (10, Fraction(1, 2), 10, 30, "c1e33b896ee1ab1e89e2b5971ad4f803a9fc3adafaf4f906a156f0bcf0c29420"),
-    (16, Fraction(1, 3), 16, 20, "430702d90a2db61558df46858f5bb1ef02451edb4bcb03ab11b0bfd24905c8eb"),
+    (8, Fraction(1, 3), 8, 200, "a36adc5114498d8cda2bb67fccd2e1b24f510e49ae9f3b7df00ea80419550021"),
+    (14, Fraction(1, 3), 14, 6, "17462790cf6cd540bfc0751d1c7f2b7587c3cd41afad1b4c67439eb4fadc1e28"),
+    (12, Fraction(2, 3), 12, 6, "805cfd70101c8c8ec89ee1617032c473bc890b666766952e2bdb38918bce3782"),
+    (5, Fraction(6103515625, 12207031251), 5, 300, "30aaded823ffcaf1db1f3eae0079d46087e3ed687961cba99b6a53374abe5cd5"),
+    (6, Fraction(3, 4), 6, 300, "1715c3f697f10a74e517fa00eef22f19107aa7be3a9959e490e9253b49cd9686"),
+    (10, Fraction(1, 2), 10, 30, "06339bdb69694e006e711b2512772223a7af5fc6fd0c7a5f3a963c62579aa849"),
+    (16, Fraction(1, 3), 16, 20, "e15ccf1c9dc1b6d0bb779ceeca436cc9f57b29f443421e39c15b2e96fbc52a60"),
 ]
 
 
@@ -324,18 +333,68 @@ def test_folded_accept_equals_mask_test(m):
                 assert _accepts(g, r, m, q, s_bits) == expected, (m, r, q, hex(g))
 
 
-def _coins_one_call_per_value(rng, numer, denom, count):
-    width = (denom - 1).bit_length()
-    coins = bytearray()
-    while len(coins) < count:
-        v = rng.getrandbits(width)
-        if v < denom:
-            coins.append(48 + (v < numer))
-    return bytes(coins)
+# (p, script of getrandbits(4) rounds, coins) for fills of 4 coins, with
+# p written in binary: each round decides the undecided coins whose digit
+# differs from p's, and the script ends where the last coin is decided or
+# p's expansion ends
+FILL_SCRIPTS = [
+    # p = 0.1: one round, the coins are the complement of u
+    (HALF, [0b0110], 0b1001),
+    # p = 0.11, dyadic: digit 1 makes the 0-bit coins 1 in each round, and
+    # coin 0, undecided when the remainder reaches 0, is 0
+    (Fraction(3, 4), [0b0101, 0b0011], 0b1110),
+    # p = 0.0101...: coin 0 is 0 in round 1, coins 2 and 3 are 1 in round
+    # 2, round 3 decides nothing, and coin 1 is 1 in round 4
+    (Fraction(1, 3), [0b0001, 0b0010, 0b0000, 0b0000], 0b1110),
+    # p = 0.0...011 with 62 leading zeros: coins 1 and 3 are 0 in round 1,
+    # rounds 2..62 decide nothing, coin 2 is 1 in round 63, coin 0 in 64
+    (Fraction(3, 2**64), [0b1010] + [0] * 61 + [0b0001, 0b0000], 0b0101),
+    # the same p with every coin 0 in its first round
+    (Fraction(3, 2**64), [0b1111], 0b0000),
+]
 
 
-# widths 1, 2, 8 (the byte table), 9, 32, 33, 34, 64 and 65 bits, with
-# rejection rates from none to almost one half
+@pytest.mark.parametrize(
+    "p, rounds, coins", FILL_SCRIPTS, ids=["1/2", "3/4", "1/3", "3/2^64", "3/2^64-one-round"]
+)
+def test_fill_scripted_rounds(p, rounds, coins):
+    # ScriptedBits fails on a call of another width or past the script's end
+    rng = ScriptedBits([(4, u) for u in rounds])
+    assert _fill(rng, p.numerator, p.denominator, 4) == coins
+    assert rng.script == []
+
+
+class RecordingBits:
+    """rng stub over ``random.Random(seed)`` that records every
+    ``getrandbits`` call as (width, value)."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.calls = []
+
+    def getrandbits(self, k):
+        value = self.rng.getrandbits(k)
+        self.calls.append((k, value))
+        return value
+
+
+def _coin_by_digits(rounds, x, numer, denom):
+    """Coin x of a fill, decided on its own: U_x's digits are bit x of
+    each round, compared with p's digits one at a time. Returns the coin
+    and the number of rounds it read."""
+    for read, u in enumerate(rounds, 1):
+        numer *= 2
+        digit = int(numer >= denom)
+        numer -= digit * denom
+        if u >> x & 1 != digit:
+            return digit, read
+        if numer == 0:
+            return 0, read
+    raise AssertionError(f"coin {x} undecided after {len(rounds)} rounds")
+
+
+# widths of p's denominator from 1 to 65 bits, dyadic and not, with
+# expansions from one digit to 64 leading zeros
 FILL_BIASES = [
     Fraction(1, 2),
     Fraction(1, 3),
@@ -355,10 +414,41 @@ FILL_BIASES = [
 @pytest.mark.parametrize("p", FILL_BIASES, ids=str)
 @pytest.mark.parametrize("count", [1, 3, 500])
 def test_fill_equals_one_getrandbits_call_per_value(p, count):
-    batched, single = random.Random(count), random.Random(count)
-    coins = _fill(batched, p.numerator, p.denominator, count)
-    assert coins == _coins_one_call_per_value(single, p.numerator, p.denominator, count)
-    assert batched.getstate() == single.getstate()
+    # each value (coin) of the sliced fill equals the coin decided alone
+    # from the same getrandbits(count) rounds, and the fill draws no round
+    # after the last coin is decided or p's expansion ends
+    rng = RecordingBits(count)
+    coins = _fill(rng, p.numerator, p.denominator, count)
+    assert {k for k, _ in rng.calls} == {count}
+    rounds = [u for _, u in rng.calls]
+    decided = [_coin_by_digits(rounds, x, p.numerator, p.denominator) for x in range(count)]
+    assert coins == sum(coin << x for x, (coin, _) in enumerate(decided))
+    assert len(rounds) == max(read for _, read in decided)
+
+
+LAW_BIASES = [Fraction(1, 100), Fraction(1, 3), HALF, Fraction(99, 100)]
+
+
+def _binomial_law(size, p):
+    return {w: comb(size, w) * p**w * (1 - p) ** (size - w) for w in range(size + 1)}
+
+
+@pytest.mark.parametrize("m", range(4, 9))
+def test_fill_weight_law_is_binomial(m):
+    # the weight of a fill of 2^m coins against the exact binomial law
+    size = 1 << m
+    for p in LAW_BIASES:
+        rng = random.Random(m * 1000 + p.denominator)
+        counts = Counter(_fill(rng, p.numerator, p.denominator, size).bit_count() for _ in range(4000))
+        assert chi_square_passes(counts, _binomial_law(size, p)), (m, p)
+
+
+def test_fill_weight_law_rejects_a_skewed_bias():
+    # a fill of bias 1/3 + 15/1000 fails the binomial law of bias 1/3
+    p, skewed = Fraction(1, 3), Fraction(1, 3) + Fraction(15, 1000)
+    rng = random.Random(8)
+    counts = Counter(_fill(rng, skewed.numerator, skewed.denominator, 256).bit_count() for _ in range(4000))
+    assert not chi_square_passes(counts, _binomial_law(256, p))
 
 
 def test_generate_function_signature_uses_external_stream():
@@ -384,17 +474,15 @@ def test_rejection_limit_exceeded():
     # n = 5, p = 1/2: category bits 0, 1 land in q = 1, whose m = 4 free
     # variables are rejection-sampled, and direction bit 0 picks r = 1.
     # Each attempt then takes the variable-set rank, the forcing value and
-    # 16 fill words; all-zeros fills make h all zeros, which q = 1 rejects
-    attempt = [(3, 0), (1, 0), (32 * 16, 0)]
+    # one fill round of 16 coins, all 0 as the complement of 0xFFFF; an
+    # all-zeros fill makes h all zeros, which q = 1 rejects
+    attempt = [(3, 0), (1, 0), (16, 0xFFFF)]
     script = [(1, 0), (1, 1), (1, 0)] + attempt * 5
     config = GeneratorConfig(n=5, p=HALF, seed=0, max_rejections=5)
     with pytest.raises(RejectionLimitExceeded) as info:
         generate(config, ScriptedBits(script))
     assert info.value.rejections == 5
     assert info.value.q == 1 and info.value.r == 1
-
-
-LAW_BIASES = [Fraction(1, 100), Fraction(1, 3), HALF, Fraction(99, 100)]
 
 
 @pytest.mark.parametrize("p", LAW_BIASES, ids=str)
@@ -434,6 +522,34 @@ def test_direct_law_matches_census_chi_square(n, p):
         assert record.rejections == 0
         counts[table.bits] += 1
     assert chi_square_passes(counts, canalizing_law(n, p))
+
+
+def _category_weight_counts(n, p, draws=20000):
+    gen = CanalizingGenerator(GeneratorConfig(n=n, p=p, seed=100 * n + p.denominator))
+    return Counter((record.q, record.r, table.bits.bit_count()) for table, record in gen.draws(draws))
+
+
+@pytest.mark.parametrize("p", [HALF, Fraction(1, 3)], ids=str)
+@pytest.mark.parametrize("n", [5, 6])
+def test_rejection_law_matches_census_chi_square(n, p):
+    # the joint law of (q, r, weight) at n = 5, 6, where the categories
+    # with m >= 4 free variables are rejection-sampled, against the exact
+    # law of the profile census
+    assert chi_square_passes(_category_weight_counts(n, p), category_weight_law(n, p))
+
+
+def test_rejection_law_rejects_a_skewed_fill(monkeypatch):
+    # the same test fails when every rejection-sampled fill has bias
+    # p + 15/1000; the directly drawn categories are untouched
+    fill = generator._fill
+
+    def skewed(rng, numer, denom, size):
+        biased = Fraction(numer, denom) + Fraction(15, 1000)
+        return fill(rng, biased.numerator, biased.denominator, size)
+
+    monkeypatch.setattr(generator, "_fill", skewed)
+    p = Fraction(1, 3)
+    assert not chi_square_passes(_category_weight_counts(5, p), category_weight_law(5, p))
 
 
 @pytest.mark.parametrize("n, p", [(3, HALF), (8, Fraction(1, 3))], ids=str)
