@@ -53,17 +53,21 @@ no draw. Its entries are deterministic, so threads that share one
 ``CategoryWeights`` at worst store the same entry twice.
 
 An attempt works on its fill alone. The fill is the table g of the free
-inputs (the m = n - q variables outside the chosen set, in ascending
-order): bit x of g is the output on the x-th free input. It is drawn in
-rounds of one ``getrandbits(2^m)`` call each, every round deciding the
-coins whose expansion first differs from p's at that digit; p = 1/2
-takes one round, other biases about m + 2. With the forced outputs r,
-the table lands in its class iff no free variable canalizes in direction
-r, that is, no half-cube of g is r everywhere; two edge cases (the
-constants, and the lone variable at q = 1 canalizing both ways) are
-decided when g is r everywhere or nowhere. Only the accepted attempt
-becomes a table, by inserting the chosen variables into the index of g
-with mask shifts.
+inputs, the m = n - q variables outside the chosen set, each reading one
+bit of g's index in a fixed order per variable set (see ``_deposit``).
+It is drawn in rounds of one ``getrandbits(2^m)`` call each, every round
+deciding the coins whose expansion first differs from p's at that digit;
+p = 1/2 takes one round, other biases about m + 2. With the forced
+outputs r, the table lands in its class iff no free variable canalizes
+in direction r, that is, no half-cube of g is r everywhere; two edge
+cases (the constants, and the lone variable at q = 1 canalizing both
+ways) are decided when g is r everywhere or nowhere. Only the accepted
+attempt becomes a table: g fills the block of the n-table where the
+chosen variables, parked at the top positions, take their non-forcing
+values, and one delta swap per chosen variable moves it to its own
+position. The coins are independent and the accept test and the weight
+groups do not change when the free variables are permuted, so the order
+they read g's index in leaves the law exact.
 
 Every random bit comes from ``rng.getrandbits``; with ``random.Random``
 (the Mersenne Twister, Python's default) a fixed seed therefore
@@ -112,10 +116,12 @@ __all__ = [
 ]
 
 
-# version 3 draws each fill in rounds of one getrandbits(2^m) call;
-# version 2 draws the categories with at most DIRECT_MAX_M free variables
-# directly; version 1 rejection-sampled every category
-STREAM_VERSION = 3
+# version 4 deposits a fill by one delta swap per chosen variable, which
+# reorders the free variables; version 3 draws each fill in rounds of one
+# getrandbits(2^m) call; version 2 draws the categories with at most
+# DIRECT_MAX_M free variables directly; version 1 rejection-sampled every
+# category
+STREAM_VERSION = 4
 DIRECT_MAX_M = 3
 
 
@@ -338,27 +344,42 @@ def _accepts(g: int, r: int, m: int, q: int, s_bits: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _swap_mask(n: int, a: int, v: int) -> int:
+    """The entries of an n-variable table with x_a = 1 and x_v = 0."""
+    return variable_mask(n, a, 1) & variable_mask(n, v, 0)
+
+
 def _deposit(g: int, n: int, subset: tuple[int, ...], s_bits: int, r: int) -> int:
     """The n-variable table of an attempt: the fill ``g`` on the free
     inputs, and the drawn direction r wherever a variable in ``subset``
     takes its forcing value (bit j of ``s_bits`` for the j-th variable).
 
-    Each chosen variable i, in ascending order, is inserted into the
-    index of ``g`` as a new bit i: the index bits k-1 .. i move up by one,
-    top first (each step moves the entries whose bit b is set up by 2^b),
-    and the whole table moves up by 2^i when the free side is x_i = 1.
+    The table is first laid out with the j-th chosen variable at position
+    m + j, m = n - q: ``g`` fills the one block of 2^m entries where every
+    chosen variable takes its non-forcing value, and every other block is
+    r. Then, for j = 0..q-1 in ascending order, one delta swap exchanges
+    the variables at positions m + j and a_j = subset[j]: the entries with
+    x_{a_j} = 1 and x_{m+j} = 0 trade places with those d = 2^(m+j) - 2^a_j
+    above them. As a_j <= m + j, no swap moves a chosen variable already
+    placed, nor one still waiting at its position m + j'. So bit x of
+    ``g`` is the output on the free input whose free variables, in the
+    order the swaps leave them, spell x: a fixed permutation of the free
+    variables for each subset.
     """
-    x, k = g, n - len(subset)
-    forced = 0
-    for j, i in enumerate(subset):
-        for b in range(k - 1, i - 1, -1):
-            x = (x & variable_mask(k + 1, b, 0)) | (x & variable_mask(k + 1, b, 1)) << (1 << b)
-        s = (s_bits >> j) & 1
-        if not s:
-            x <<= 1 << i
-        forced |= variable_mask(n, i, s)
-        k += 1
-    return x | forced if r == 1 else x
+    q = len(subset)
+    m = n - q
+    off = (((1 << q) - 1) ^ s_bits) << m
+    if r == 1:
+        x = ((g ^ ((1 << (1 << m)) - 1)) << off) ^ ((1 << (1 << n)) - 1)
+    else:
+        x = g << off
+    for v, a in enumerate(subset, m):
+        if a != v:
+            d = (1 << v) - (1 << a)
+            t = ((x >> d) ^ x) & _swap_mask(n, a, v)
+            x ^= t ^ (t << d)
+    return x
 
 
 @lru_cache(maxsize=None)

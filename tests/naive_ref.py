@@ -83,21 +83,44 @@ def permute_variables(bits, n, perm):
     return out
 
 
-def attempt_outcome(n, q, r, subset, s_bits, g):
-    """(accepted, table) of one generator attempt, by the generator's
-    former rule: walk the inputs in ascending order, give each one where
-    some variable in ``subset`` takes its forcing value (bit j of
-    ``s_bits`` for the j-th variable) the output r and each other input
-    the next bit of the fill ``g``, then classify the whole table. A
-    constant is accepted only at q = n, in direction r, with all-zeros
-    forcing values; any other table only if it canalizes in direction r
-    alone and on exactly the variables of ``subset``."""
+def fill_order(n, subset):
+    """The variables that read the fill's index bits 0..m-1, m = n - q.
+
+    The generator starts from a list of positions holding the fill's index
+    bits 0..m-1 and then the chosen variables, and for j = 0..q-1 swaps
+    the entries at positions m + j and subset[j]; index bit k is then read
+    by the variable at the position where k ended."""
+    m = n - len(subset)
+    at = list(range(n))
+    for j, i in enumerate(subset):
+        at[m + j], at[i] = at[i], at[m + j]
+    return [at.index(k) for k in range(m)]
+
+
+def deposit_walk(n, r, subset, s_bits, g):
+    """The table of one generator attempt as a list of bits: walk the
+    inputs, give each one where some variable in ``subset`` takes its
+    forcing value (bit j of ``s_bits`` for the j-th variable) the output
+    r, and each other input the bit of the fill ``g`` that its free
+    variables index in ``fill_order``."""
     s = {i: (s_bits >> j) & 1 for j, i in enumerate(subset)}
-    fill = iter(bits_list(n - q, g))
-    bits = [
-        r if any(((e >> i) & 1) == s[i] for i in subset) else next(fill)
+    order = fill_order(n, subset)
+    fill = bits_list(n - len(subset), g)
+    return [
+        r
+        if any(((e >> i) & 1) == s[i] for i in subset)
+        else fill[sum(((e >> i) & 1) << k for k, i in enumerate(order))]
         for e in range(1 << n)
     ]
+
+
+def attempt_outcome(n, q, r, subset, s_bits, g):
+    """(accepted, table) of one generator attempt: the ``deposit_walk``
+    table, then a classification of the whole table. A constant is
+    accepted only at q = n, in direction r, with all-zeros forcing values;
+    any other table only if it canalizes in direction r alone and on
+    exactly the variables of ``subset``."""
+    bits = deposit_walk(n, r, subset, s_bits, g)
     if all(b == bits[0] for b in bits):
         return q == n and bits[0] == r and s_bits == 0, bits
     positive, negative = forcing_pairs(bits, n)

@@ -13,7 +13,9 @@ from canalis import (
     GeneratorConfig,
     RangeError,
     RejectionLimitExceeded,
+    TruthTable,
     category_weights,
+    classify,
     generate,
     generator,
     is_canalizing,
@@ -21,6 +23,7 @@ from canalis import (
     prob_canalizing,
     sample_category,
     to_hex,
+    variable_mask,
 )
 import naive_ref
 from canalis.generator import (
@@ -217,6 +220,15 @@ def test_generate_asymmetric_bias_soundness():
         assert record_consistent(table, record)
 
 
+@pytest.mark.parametrize("n", [12, 16])
+@pytest.mark.parametrize("p", [HALF, Fraction(1, 3)], ids=str)
+def test_generate_soundness_and_records_at_wide_n(n, p):
+    gen = CanalizingGenerator(GeneratorConfig(n=n, p=p, seed=n))
+    for table, record in gen.draws(20):
+        assert is_canalizing(table)
+        assert record_consistent(table, record)
+
+
 def test_generate_n1_support():
     gen = CanalizingGenerator(GeneratorConfig(n=1, p=HALF, seed=1))
     seen = Counter()
@@ -237,7 +249,7 @@ def test_generate_deterministic_sequence():
     assert first == second
 
 
-# (n, p, seed, draws, SHA-256 of the stream) of stream version 3. The
+# (n, p, seed, draws, SHA-256 of the stream) of stream version 4. The
 # seed -> output mapping is stable API: these digests may change only with
 # a deliberate, recorded break of the stream, which bumps STREAM_VERSION.
 # The cases cover the constants at q = n (n = 1, 2), the direct draw of
@@ -246,20 +258,22 @@ def test_generate_deterministic_sequence():
 # p = 1/3: 85 kbit), a dyadic bias whose fills stop on remainder 0
 # (n = 6, p = 3/4), and at n = 5 a bias just below 1/2 with a long
 # non-dyadic expansion (0.0 then 33 ones: it departs from 1/2 = 0.0111...
-# at digit 35), whose fills compare with p digit after digit. The n <= 4
-# digests are those of version 2: their draws never fill.
+# at digit 35), whose fills compare with p digit after digit. The n = 1
+# and n = 2 digests are those of version 2: their free side has at most
+# one variable, so the order the deposit gives the free variables does
+# not show.
 GOLDEN_STREAMS = [
     (1, Fraction(1, 2), 1, 1000, "b9f2e8a6e3524ce418b38dd2c835b3c7ebcd42beb2b7b20e9ce5680c278e2237"),
     (2, Fraction(1, 2), 2, 1000, "f82199979739f7bfe3d99bff842b66053d287a54373807a909513378bcec0fd8"),
-    (3, Fraction(1, 2), 3, 1000, "11f6e866841889f8daa74bd03b7c6409933b0339aecbb2d9422e70c27023bef6"),
-    (4, Fraction(1, 3), 31337, 1000, "143d9e1262433e7028c93eee6adfd661ee027160a1c6069eed432289df4fa900"),
-    (8, Fraction(1, 3), 8, 200, "a36adc5114498d8cda2bb67fccd2e1b24f510e49ae9f3b7df00ea80419550021"),
-    (14, Fraction(1, 3), 14, 6, "17462790cf6cd540bfc0751d1c7f2b7587c3cd41afad1b4c67439eb4fadc1e28"),
-    (12, Fraction(2, 3), 12, 6, "805cfd70101c8c8ec89ee1617032c473bc890b666766952e2bdb38918bce3782"),
-    (5, Fraction(6103515625, 12207031251), 5, 300, "30aaded823ffcaf1db1f3eae0079d46087e3ed687961cba99b6a53374abe5cd5"),
-    (6, Fraction(3, 4), 6, 300, "1715c3f697f10a74e517fa00eef22f19107aa7be3a9959e490e9253b49cd9686"),
-    (10, Fraction(1, 2), 10, 30, "06339bdb69694e006e711b2512772223a7af5fc6fd0c7a5f3a963c62579aa849"),
-    (16, Fraction(1, 3), 16, 20, "e15ccf1c9dc1b6d0bb779ceeca436cc9f57b29f443421e39c15b2e96fbc52a60"),
+    (3, Fraction(1, 2), 3, 1000, "6eb8cb690825363fc209e4e7c06e01e58f9929dfcfa89df2dc2a20288bdddba5"),
+    (4, Fraction(1, 3), 31337, 1000, "ff2e64c64338da263f2539b32464465445ed7e4cfe70380de3bb0b2ba4f715b5"),
+    (8, Fraction(1, 3), 8, 200, "2bd68e2038b2d101ea745fced97ee620dc6440e2b49586211fc39a4c92fc6773"),
+    (14, Fraction(1, 3), 14, 6, "fa58cb7ebff99cfd573cb58139531e7ee2827903b97ab9be139218d853f0ab77"),
+    (12, Fraction(2, 3), 12, 6, "04f14944794e91db0ba3202746e114dec5a38d1d68cb0ede2867bdfb3ce17d30"),
+    (5, Fraction(6103515625, 12207031251), 5, 300, "ef35a6a899e460b018e4d67ff4176907f7f37cb8ae3fef61f4cd233f6da62b64"),
+    (6, Fraction(3, 4), 6, 300, "1b1291db06c594e5bc657bd518df1fa7b48a7b5363a0a61a45ec992af2d8646e"),
+    (10, Fraction(1, 2), 10, 30, "3589b78e0dffb14b40d8d21773534f29e82d45f64e8945229bbd47f0896de3ec"),
+    (16, Fraction(1, 3), 16, 20, "854c32aeb9b37d493473518376fdceecb21185ace61de3a6ece41adf4d2a780d"),
 ]
 
 
@@ -302,6 +316,39 @@ def test_fill_accept_and_deposit_match_classified_attempt(n):
                         assert _accepts(g, r, m, q, s_bits) == accepted, case
                         table = sum(b << e for e, b in enumerate(bits))
                         assert _deposit(g, n, subset, s_bits, r) == table, case
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_deposit_at_wide_n_matches_walk_and_classification(n):
+    # random attempts, half of them with a half-cube of the fill planted
+    # r everywhere: the deposited table equals the naive walk, and it
+    # canalizes in direction r alone and on exactly the subset iff the
+    # accept test on the fill alone takes the attempt
+    rng = random.Random(n)
+    outcomes = set()
+    for q in (1, 2, 3, n - 4):
+        m = n - q
+        ones = (1 << (1 << m)) - 1
+        for r in (0, 1):
+            subset = tuple(sorted(rng.sample(range(n), q)))
+            s_bits = rng.getrandbits(q)
+            h = rng.getrandbits(1 << m)
+            if rng.getrandbits(1):
+                h |= variable_mask(m, rng.randrange(m), rng.getrandbits(1))
+            g = h if r == 1 else h ^ ones
+            case = (n, q, r, subset, s_bits)
+            table = _deposit(g, n, subset, s_bits, r)
+            walk = naive_ref.deposit_walk(n, r, subset, s_bits, g)
+            assert f"{table:0{1 << n}b}"[::-1] == "".join(map(str, walk)), case
+            profile = classify(TruthTable(n, table))
+            same, other = (
+                (profile.positive, profile.negative) if r == 1 else (profile.negative, profile.positive)
+            )
+            pairs = {(i, (s_bits >> j) & 1) for j, i in enumerate(subset)}
+            accepted = _accepts(g, r, m, q, s_bits)
+            assert (not other and same == pairs) == accepted, case
+            outcomes.add(accepted)
+    assert outcomes == {False, True}
 
 
 def _edge_fills(m):
