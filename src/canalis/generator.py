@@ -1,8 +1,8 @@
 """Random canalizing functions with an exactly correct conditional law.
 
 A draw proceeds in the class decomposition's order: pick the category
-(both-ways, or one direction with an exact variable count q) with its
-exact rational probability, pick the direction, then draw inside the
+(both-ways, or one direction with an exact variable count q) and its
+direction with their exact rational probability, then draw inside the
 category a route: the canalizing variable set, its forcing values, and
 the fill of the remaining 2^m entries, m = n - q. A route gives one table,
 and it is accepted iff that table lands in the chosen class.
@@ -36,21 +36,23 @@ restores the one-accepting-route-per-function property.
 No floating point is involved anywhere: category draws compare a lazily
 extended uniform bit expansion against cumulative cut points, precomputed
 once per (n, p). The cut points are the class numerators themselves, the
-integers over b^(2^n) that ``probability`` sums for p = a/b: the
-categories' running sums over the numerator of Pr[C], and a direction's
-numerator over its category's. A biased fill compares a uniform bit
-expansion per coin with the binary expansion of p, for all of its coins
-at once (see ``_fill``).
+integers over b^(2^n) that ``probability`` sums for p = a/b: the running
+sums of the 2n + 1 classes (both-ways, then positive and negative for
+q = 1..n) over the numerator of Pr[C], so one draw picks the category and
+its direction. A biased fill compares a uniform bit expansion per coin
+with the binary expansion of p, for all of its coins at once (see
+``_fill``).
 
-The bit expansion walks a binary trie whose nodes are the dyadic
-intervals; each node either lies inside one category or needs another
-bit, a decision that depends only on the cut points. Each cut set, a
-``_Cuts``, owns its trie and memoizes these decisions as nodes are
-reached, so once a path has been walked a draw along it costs one dict
-lookup per random bit and no arithmetic on the cut points, which reach
-85 kbit at n = 16, p = 1/3. The trie consumes no random bits and changes
-no draw. Its entries are deterministic, so threads that share one
-``CategoryWeights`` at worst store the same entry twice.
+The bit expansion grows a byte at a time and walks a trie whose nodes are
+the byte-aligned dyadic intervals. Each cut set, a ``_Cuts``, owns its
+trie: the first draw that reaches a node stores the categories of the
+node's 256 children as one tuple, -1 for a child that a cut splits,
+computed from the cuts inside the node alone. Once a path has been
+walked, a draw along it costs one ``getrandbits(8)`` and one tuple index
+per byte and no arithmetic on the cut points, which reach 85 kbit at
+n = 16, p = 1/3. The tables consume no random bits and change no draw.
+Their entries are deterministic, so threads that share one
+``CategoryWeights`` at worst store the same table twice.
 
 An attempt works on its fill alone. The fill is the table g of the free
 inputs, the m = n - q variables outside the chosen set, each reading one
@@ -75,10 +77,11 @@ reproduces the exact output sequence across runs and Python releases,
 which tests/test_generator.py locks with golden digests. Any other source
 of uniform ``getrandbits`` bits keeps the law exact. ``STREAM_VERSION``
 names the seed -> output mapping; it changes only with a deliberate break
-of the stream. The per-draw consumption order is: category bits, then
-either the both-ways variable and its forcing value, or direction bits
-and then
-- for m <= 3, the weight group's bits and one uniform integer below
+of the stream. The per-draw consumption order is: the category bytes,
+which pick the direction too, then either the both-ways variable and its
+forcing value, or
+- for m <= 3, the weight group's bytes (none for a category with one
+  group) and one uniform integer below
   C(n, q) * (fills in the group) * 2^(free forcing bits), whose remainders
   by C(n, q) and by the group size are the variable-set rank and the fill,
   and whose quotient is the forcing values;
@@ -89,7 +92,7 @@ and then
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -116,12 +119,13 @@ __all__ = [
 ]
 
 
-# version 4 deposits a fill by one delta swap per chosen variable, which
-# reorders the free variables; version 3 draws each fill in rounds of one
+# version 5 draws the category and its direction in one walk, a byte at a
+# time; version 4 deposits a fill by one delta swap per chosen variable,
+# which reorders the free variables; version 3 draws each fill in rounds of one
 # getrandbits(2^m) call; version 2 draws the categories with at most
 # DIRECT_MAX_M free variables directly; version 1 rejection-sampled every
 # category
-STREAM_VERSION = 4
+STREAM_VERSION = 5
 DIRECT_MAX_M = 3
 
 
@@ -159,57 +163,102 @@ class _Cuts:
     """Exact categorical draw against cut points N_j / D: ascending
     integer ``numerators``, the last equal to ``denom``.
 
-    ``draw`` extends a uniform bit expansion numer / 2^bits until the
-    dyadic interval it pins down lies inside a single category; empty
-    categories (repeated cuts) are never selected. Expected bit usage is
-    O(1 + entropy of the law).
+    ``draw`` extends a uniform bit expansion numer / 2^bits a byte at a
+    time until the dyadic interval it pins down lies inside a single
+    category; empty categories (repeated cuts) are never selected, and a
+    cut set whose mass lies in one category, ``only``, draws it with no
+    bits. Expected bit usage is O(1 + entropy of the law).
 
-    The interval is the trie node ``(1 << bits) | numer``, and ``trie``
-    maps each node reached to its category, or to -1 when it needs
-    another bit.
+    The interval of a byte-aligned expansion is the trie node
+    ``(1 << bits) | numer``, and ``tables`` maps each node reached to the
+    categories of its 256 children, -1 for a child that a cut splits.
     """
 
     numerators: tuple[int, ...]
     denom: int
-    trie: dict[int, int] = field(default_factory=dict, init=False, compare=False, repr=False)
+    only: int = field(init=False, compare=False, repr=False)
+    tables: dict[int, tuple[int, ...]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        # the mass lies in one category iff the cuts below the first at D are 0
+        idx = bisect_left(self.numerators, self.denom)
+        object.__setattr__(self, "only", -1 if idx and self.numerators[idx - 1] else idx)
 
     def draw(self, rng) -> int:
-        trie = self.trie
+        if self.only >= 0:
+            return self.only
+        tables = self.tables
         node = 1
         while True:
-            idx = trie.get(node)
-            if idx is None:
-                idx = trie[node] = self._resolve(node)
+            table = tables.get(node) or self._expand(node)
+            v = rng.getrandbits(8)
+            idx = table[v]
             if idx >= 0:
                 return idx
-            node = (node << 1) | rng.getrandbits(1)
+            node = (node << 8) | v
 
-    def _resolve(self, node: int) -> int:
-        """The category whose cuts contain trie node ``node``'s dyadic
-        interval [numer, numer + 1) / 2^bits, or -1 if a cut splits it.
-        Both tests are integer: the cuts at or below the interval's low end
-        are those N_j <= numer * D >> bits, and the interval fits under
-        N_idx iff (numer + 1) * D <= N_idx << bits."""
+    def _expand(self, node: int) -> tuple[int, ...]:
+        """The table of trie node ``node``, whose dyadic interval
+        [numer, numer + 1) / 2^bits has the children
+        [256 numer + v, 256 numer + v + 1) / 2^k, v = 0..255, k = bits + 8.
+
+        Only the cuts strictly inside the interval are visited, those with
+        numer * D < N_j 2^bits < (numer + 1) * D. Cut N_j lies in child
+        v = w - 256 numer, rem / D of the way in, for
+        (w, rem) = divmod(N_j 2^k, D). The children below v lie under N_j,
+        child v is split unless rem is 0 (a cut on a child's edge splits
+        nothing), and the children above the last of them lie under the
+        first cut at or past the interval's high end.
+
+        The full division is rarely needed. With x and d the cut and D less
+        their low s > 0 bits, N_j 2^k / D lies strictly between
+        x 2^k / (d + 1) and (x + 1) 2^k / d, and strictly between 256 numer
+        and 256 numer + 256. Its floor w therefore lies between the floor of
+        the larger lower bound and that of the smaller upper bound; where
+        the two agree, that is w, and rem is not 0. Keeping 64 bits of D
+        more than k, they differ only for a cut within about 2^-62 of an
+        edge between two children."""
+        numerators, denom = self.numerators, self.denom
         bits = node.bit_length() - 1
-        lo = (node ^ (1 << bits)) * self.denom
-        idx = bisect_right(self.numerators, lo >> bits)
-        return idx if lo + self.denom <= self.numerators[idx] << bits else -1
+        numer = node ^ (1 << bits)
+        lo, first, shift = numer * denom, numer << 8, bits + 8
+        s = max(denom.bit_length() - shift - 64, 0)
+        d = denom >> s
+        inside = range(
+            bisect_right(numerators, lo >> bits), bisect_left(numerators, -(-(lo + denom) >> bits))
+        )
+        entries: list[int] = []
+        for idx in inside:
+            cut = numerators[idx]
+            x = cut >> s
+            w = max((x << shift) // (d + 1), first)
+            if s and w == min(((x + 1) << shift) // d, first + 255):
+                rem = 1
+            else:
+                w, rem = divmod(cut << shift, denom)
+            v = w - first
+            entries += [idx] * (v - len(entries))
+            if rem and len(entries) == v:
+                entries.append(-1)
+        entries += [inside.stop] * (256 - len(entries))
+        table = self.tables[node] = tuple(entries)
+        return table
 
 
 @dataclass(frozen=True)
 class CategoryWeights:
-    """Cut sets of the category draw for one (n, p), as integer
-    numerators over one common denominator: ``q`` for the cumulative
-    shares of the categories q = 0..n in Pr[C], and ``share[k]`` for the
-    positive direction's share inside a nonempty category k.
-    ``direct[q, r]`` holds the route groups and weight cuts of a category
-    with at most ``DIRECT_MAX_M`` free variables, built on its first draw
-    (see ``_direct_table``)."""
+    """The cut set of the category draw for one (n, p), as integer
+    numerators over the numerator of Pr[C]: ``cuts`` holds the running
+    sums of the 2n + 1 cells both-ways, then positive and negative for
+    each q = 1..n. ``direct[q, r]`` holds the route groups and weight cuts
+    of a category with at most ``DIRECT_MAX_M`` free variables, built on
+    its first draw (see ``_direct_table``)."""
 
     n: int
     p: Fraction
-    q: _Cuts = field(repr=False)
-    share: dict[int, _Cuts] = field(repr=False)
+    cuts: _Cuts = field(repr=False)
     direct: dict[tuple[int, int], tuple[tuple, _Cuts]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
@@ -217,23 +266,18 @@ class CategoryWeights:
 
 def category_weights(n: int, p) -> CategoryWeights:
     """The cut points, straight from the class numerators over b^(2^n):
-    the categories' running sums over the numerator of Pr[C], and each
-    direction's numerator over its category's."""
+    the cells' running sums over the numerator of Pr[C]."""
     check_n(n, DEFAULT_GEN_MAX_N)
     p = validate_bias(p, strict=True)
     c, bc, pce, nce = _class_numerators(n, p)
-    sizes = [bc] + [pce[k] + nce[k] for k in range(1, n + 1)]
-    return CategoryWeights(
-        n=n,
-        p=p,
-        # the partition check makes the last running sum c
-        q=_Cuts(tuple(accumulate(sizes)), c),
-        # the q draw never selects an empty category, so it needs no share
-        share={k: _Cuts((pce[k], size), size) for k, size in enumerate(sizes) if k and size},
-    )
+    cells = [bc]
+    for k in range(1, n + 1):
+        cells += (pce[k], nce[k])
+    # the partition check makes the last running sum c
+    return CategoryWeights(n=n, p=p, cuts=_Cuts(tuple(accumulate(cells)), c))
 
 
-@dataclass
+@dataclass(slots=True)
 class DrawRecord:
     """How one table was produced: category q (0 = both-ways), direction r
     (1 positive, 0 negative, None in the both-ways branch), the chosen
@@ -268,12 +312,10 @@ def _subsets(n: int, q: int) -> tuple[tuple[int, ...], ...]:
 
 def sample_category(weights: CategoryWeights, rng) -> tuple[int, int | None]:
     """Draw (q, r): q = 0 for the both-ways category, else the exact
-    variable count, with r the direction drawn inside category q."""
-    q = weights.q.draw(rng)
-    if q == 0:
-        return 0, None
-    # index 0 of a direction cut set is the positive direction
-    return q, 1 - weights.share[q].draw(rng)
+    variable count and the direction r, in one draw of the cells."""
+    cell = weights.cuts.draw(rng)
+    # cells 2q - 1 and 2q are category q's positive and negative direction
+    return ((cell + 1) >> 1, cell & 1) if cell else (0, None)
 
 
 def _fill(rng, numer: int, denom: int, size: int) -> int:
@@ -450,8 +492,7 @@ def generate(
     if q == 0:
         i = _uniform_below(rng, n)
         s = rng.getrandbits(1)
-        table = TruthTable(n, variable_mask(n, i, s))
-        return table, DrawRecord(q=0, r=None, subset=(i,), values={i: s}, rejections=0)
+        return TruthTable(n, variable_mask(n, i, s)), DrawRecord(0, None, (i,), {i: s}, 0)
 
     m = n - q
     subsets = _subsets(n, q)
@@ -480,8 +521,12 @@ def generate(
             if rejections >= config.max_rejections:
                 raise RejectionLimitExceeded(q, r, rejections)
     table = TruthTable(n, _deposit(g, n, subset, s_bits, r))
-    values = {i: (s_bits >> j) & 1 for j, i in enumerate(subset)}
-    return table, DrawRecord(q=q, r=r, subset=subset, values=values, rejections=rejections)
+    # a loop, not a comprehension, which costs a function call per draw
+    values = {}
+    for i in subset:
+        values[i] = s_bits & 1
+        s_bits >>= 1
+    return table, DrawRecord(q, r, subset, values, rejections)
 
 
 class CanalizingGenerator:

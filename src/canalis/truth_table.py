@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TruthTable:
     """A Boolean function of ``n`` variables as a packed bit vector."""
 

@@ -10,10 +10,11 @@ Constant functions count as canalizing on all n variables, one direction.
 closed forms, written apart from the library's inclusion-exclusion
 evaluator, so that checks of the counts compare two different sums.
 
-``draw_index`` and ``accepts_by_masks`` keep two sampler steps in their
-plain integer forms: the category walk recomputing every interval test
-from the cut points, and the accept test of one mask per half-cube. The
-library's memoized walk and folded accept test must agree with them.
+``resolve``, ``draw_index`` and ``accepts_by_masks`` keep sampler steps
+in their plain integer forms: the interval test of one trie node, the
+category walk recomputing that test at every byte from the cut points,
+and the accept test of one mask per half-cube. The library's byte tables,
+memoized walk and folded accept test must agree with them.
 """
 
 from bisect import bisect_right
@@ -159,22 +160,30 @@ def count_exact_k(n, k):
     return total
 
 
+def resolve(scaled, node):
+    """The category whose cut points N_j / D, given as ``(N, D)``, contain
+    the dyadic interval [numer, numer + 1) / 2^bits of the trie node
+    ``(1 << bits) | numer``, or -1 if a cut splits it. The cuts at or below
+    the interval's low end are those N_j <= numer * D >> bits, and the
+    interval fits under N_idx iff (numer + 1) * D <= N_idx << bits."""
+    numerators, denom = scaled
+    bits = node.bit_length() - 1
+    lo = (node ^ (1 << bits)) * denom
+    idx = bisect_right(numerators, lo >> bits)
+    return idx if lo + denom <= numerators[idx] << bits else -1
+
+
 def draw_index(scaled, rng):
     """Categorical draw against cut points N_j / D given as ``(N, D)``:
-    extend a uniform bit expansion numer / 2^bits, one ``getrandbits(1)``
-    at a time, until its dyadic interval lies under a single cut. The
-    cuts at or below the interval's low end are those
-    N_j <= numer * D >> bits, and the interval fits under N_idx iff
-    (numer + 1) * D <= N_idx << bits."""
-    numerators, denom = scaled
-    numer, bits = 0, 0
+    extend a uniform bit expansion a byte at a time, one
+    ``getrandbits(8)`` each, until its dyadic interval lies under a single
+    cut, testing every interval with ``resolve``."""
+    node = 1
     while True:
-        lo = numer * denom
-        idx = bisect_right(numerators, lo >> bits)
-        if lo + denom <= numerators[idx] << bits:
+        idx = resolve(scaled, node)
+        if idx >= 0:
             return idx
-        numer = (numer << 1) | rng.getrandbits(1)
-        bits += 1
+        node = (node << 8) | rng.getrandbits(8)
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
+import gc
 import hashlib
 import random
-from itertools import accumulate, combinations
+from itertools import combinations, pairwise
 from math import comb
 from collections import Counter
 from fractions import Fraction
@@ -59,38 +60,47 @@ class ScriptedBits:
         return value
 
 
-class SingleBits:
+class ByteBits:
     """rng stub over ``random.Random(seed)`` that serves only
-    ``getrandbits(1)`` and counts the calls."""
+    ``getrandbits(8)`` and counts the calls."""
 
     def __init__(self, seed):
         self.rng = random.Random(seed)
         self.calls = 0
 
     def getrandbits(self, k):
-        assert k == 1, f"expected getrandbits(1), got getrandbits({k})"
+        assert k == 8, f"expected getrandbits(8), got getrandbits({k})"
         self.calls += 1
-        return self.rng.getrandbits(1)
+        return self.rng.getrandbits(8)
 
 
-def _cuts(cuts):
-    return [Fraction(v, cuts.denom) for v in cuts.numerators]
+def _cells(cuts):
+    """The cells of a cut set, the gaps between its running sums, as
+    exact shares of its denominator."""
+    return [Fraction(b - a, cuts.denom) for a, b in pairwise((0, *cuts.numerators))]
+
+
+def _class_cells(b):
+    """The classes of a breakdown in cell order, as shares of Pr[C]:
+    both-ways, then positive and negative for q = 1..n."""
+    classes = [b.pr_bc]
+    for k in range(1, b.n + 1):
+        classes += [b.pr_pce[k], b.pr_nce[k]]
+    return [c / b.pr_c for c in classes]
 
 
 def test_category_weights_n1():
     w = category_weights(1, HALF)
     # both-ways 1/2, then the positive and negative q = 1 classes 1/4 each
-    assert _cuts(w.q) == [HALF, 1]
-    assert _cuts(w.share[1]) == [HALF, 1]
+    assert _cells(w.cuts) == [HALF, Fraction(1, 4), Fraction(1, 4)]
+    assert _cells(w.cuts) == _class_cells(prob_breakdown(1, HALF))
 
 
 def test_category_weights_n2():
     w = category_weights(2, HALF)
     # Pr[C] = 7/8 = 1/4 both-ways + 0 at q = 1 + 5/16 + 5/16 at q = 2
-    assert _cuts(w.q) == [Fraction(2, 7), Fraction(2, 7), 1]
-    # the empty category q = 1 gets no direction cut
-    assert set(w.share) == {2}
-    assert _cuts(w.share[2]) == [HALF, 1]
+    assert _cells(w.cuts) == [Fraction(2, 7), 0, 0, Fraction(5, 14), Fraction(5, 14)]
+    assert _cells(w.cuts) == _class_cells(prob_breakdown(2, HALF))
 
 
 CUT_BIASES = [HALF, Fraction(1, 3), Fraction(2, 3), Fraction(1, 100), Fraction(99, 100)]
@@ -103,12 +113,9 @@ CUT_BIASES = [HALF, Fraction(1, 3), Fraction(2, 3), Fraction(1, 100), Fraction(9
 )
 def test_cut_points_equal_class_probabilities(n, p):
     w = category_weights(n, p)
-    b = prob_breakdown(n, p)
-    sizes = [b.pr_bc] + [b.pr_pce[k] + b.pr_nce[k] for k in range(1, n + 1)]
-    assert _cuts(w.q) == [s / b.pr_c for s in accumulate(sizes)]
-    assert set(w.share) == {k for k in range(1, n + 1) if sizes[k]}
-    for k, cuts in w.share.items():
-        assert _cuts(cuts) == [b.pr_pce[k] / sizes[k], 1]
+    assert len(w.cuts.numerators) == 2 * n + 1
+    assert w.cuts.numerators[-1] == w.cuts.denom
+    assert _cells(w.cuts) == _class_cells(prob_breakdown(n, p))
 
 
 @pytest.mark.parametrize("n", [0, 17, True])
@@ -136,63 +143,120 @@ def test_generate_rejects_weights_of_another_law():
 
 
 def test_sample_index_scripted():
+    # the cut 2/7 lies inside byte 73 (2/7 * 256 = 73.14)
     scaled = ((2, 2, 7), 7)
-    # bits 0,0 pin the expansion into [0, 1/4) inside [0, 2/7)
-    assert _Cuts(*scaled).draw(ScriptedBits([(1, 0), (1, 0)])) == 0
-    # a single 1 bit pins [1/2, 1) past both 2/7 cuts
-    assert _Cuts(*scaled).draw(ScriptedBits([(1, 1)])) == 2
+    assert _Cuts(*scaled).draw(ScriptedBits([(8, 0)])) == 0
+    assert _Cuts(*scaled).draw(ScriptedBits([(8, 200)])) == 2
+    # in byte 73 the walk descends to depth 16, where the cut lies inside
+    # child 36 (2/7 * 2^16 = 73 * 256 + 36.57)
+    cuts = _Cuts(*scaled)
+    assert cuts.draw(ScriptedBits([(8, 73), (8, 35)])) == 0
+    assert cuts.draw(ScriptedBits([(8, 73), (8, 37)])) == 2
+    assert cuts.draw(ScriptedBits([(8, 73), (8, 36), (8, 0)])) == 0
+    assert set(cuts.tables) == {1, 256 | 73, (256 | 73) << 8 | 36}
+    assert cuts.tables[1] == (0,) * 73 + (-1,) + (2,) * 182
+    assert cuts.tables[256 | 73] == (0,) * 36 + (-1,) + (2,) * 219
 
 
 def test_sample_index_skips_empty_category():
+    # the cut 1/2 is the edge of bytes 127 and 128: no byte is split, and
+    # the empty category between the repeated cuts is never drawn
     scaled = ((1, 1, 2), 2)
-    for script in ([(1, 0), (1, 0)], [(1, 1)], [(1, 0), (1, 1)]):
-        idx = _Cuts(*scaled).draw(ScriptedBits(list(script)))
-        assert idx != 1
+    cuts = _Cuts(*scaled)
+    assert cuts.draw(ScriptedBits([(8, 127)])) == 0
+    assert cuts.draw(ScriptedBits([(8, 128)])) == 2
+    assert cuts.tables == {1: (0,) * 128 + (2,) * 128}
+    # a cut on an edge at depth 16 only: 21846 / 2^16 lies in byte 85, on
+    # the edge of its children 85 and 86
+    cuts = _Cuts((21846, 1 << 16), 1 << 16)
+    assert cuts.draw(ScriptedBits([(8, 85), (8, 85)])) == 0
+    assert cuts.draw(ScriptedBits([(8, 85), (8, 86)])) == 1
+    assert cuts.tables[256 | 85] == (0,) * 86 + (1,) * 170
 
 
 def test_sample_index_degenerate_no_bits():
     # single category taking all mass resolves without consuming bits
-    assert _Cuts((1,), 1).draw(ScriptedBits([])) == 0
-    assert _Cuts((0, 5), 5).draw(ScriptedBits([])) == 1
+    for scaled, idx in ((((1,), 1), 0), (((0, 5), 5), 1), (((0, 0, 3, 3), 3), 2)):
+        cuts = _Cuts(*scaled)
+        assert cuts.draw(ScriptedBits([])) == idx
+        assert cuts.tables == {}
+
+
+TABLE_BIASES = [
+    HALF, Fraction(1, 3), Fraction(1, 100), Fraction(99, 100), Fraction(1, 1000), Fraction(999, 1000)
+]
+
+
+@pytest.mark.parametrize("p", TABLE_BIASES, ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 14, 16])
+def test_byte_tables_equal_resolved_children(n, p):
+    # every table that 300 draws expand, of the category cut set and of
+    # the weight groups of the direct categories they land in, and that of
+    # every child the category root splits, holds what the plain interval
+    # test says of each child
+    w = category_weights(n, p)
+    rng = random.Random(n)
+    for _ in range(300):
+        q, r = sample_category(w, rng)
+        if q and n - q <= DIRECT_MAX_M:
+            _, cuts = w.direct.get((q, r)) or _direct_table(w, q, r)
+            cuts.draw(rng)
+    for v, idx in enumerate(w.cuts.tables[1]):
+        if idx < 0:
+            w.cuts._expand(256 | v)
+    cut_sets = [w.cuts] + [cuts for _, cuts in w.direct.values()]
+    expanded = 0
+    for cuts in cut_sets:
+        scaled = (cuts.numerators, cuts.denom)
+        for node, table in cuts.tables.items():
+            assert table == tuple(naive_ref.resolve(scaled, (node << 8) | v) for v in range(256))
+            expanded += 1
+    assert expanded >= 1
 
 
 @pytest.mark.parametrize("p", CUT_BIASES, ids=str)
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 14, 16])
 def test_memoized_draw_index_matches_integer_walk(n, p):
-    # every cut set of the weights, the q cuts and each direction's, with
-    # a cold trie per draw and with the weights' own trie warming up: the
-    # same index after the same number of one-bit calls as the plain walk
+    # the category cut set with a cold trie per draw and with the weights'
+    # own trie warming up: the same index after the same number of
+    # getrandbits(8) calls as the plain walk
     w = category_weights(n, p)
-    for c, cuts in enumerate([w.q, *w.share.values()]):
-        numerators = cuts.numerators
-        scaled = (numerators, cuts.denom)
-        ref, cold, warm = SingleBits(c), SingleBits(c), SingleBits(c)
-        for _ in range(200):
-            idx = naive_ref.draw_index(scaled, ref)
-            assert _Cuts(*scaled).draw(cold) == idx
-            assert cuts.draw(warm) == idx
-            assert ref.calls == cold.calls == warm.calls
-            # an empty category (a repeated cut, as q = 1 at n = 2) is never drawn
-            assert numerators[idx] > (numerators[idx - 1] if idx else 0)
+    numerators = w.cuts.numerators
+    scaled = (numerators, w.cuts.denom)
+    ref, cold, warm = ByteBits(n), ByteBits(n), ByteBits(n)
+    for _ in range(200):
+        idx = naive_ref.draw_index(scaled, ref)
+        assert _Cuts(*scaled).draw(cold) == idx
+        assert w.cuts.draw(warm) == idx
+        assert ref.calls == cold.calls == warm.calls
+        # an empty category (a repeated cut, as q = 1 at n = 2) is never drawn
+        assert numerators[idx] > (numerators[idx - 1] if idx else 0)
 
 
 def test_draw_index_memo_stays_small():
-    w = category_weights(16, Fraction(1, 3))
+    # the root's table and those of the children that its at most 2n
+    # inner cuts split; a deeper table needs a draw that ends in a split
+    # child of a split child, chance below 2n / 2^16 per draw. Every table
+    # is a tuple of small ints, which a collection stops tracking, so the
+    # memo adds no work to later collections
+    n = 16
+    w = category_weights(n, Fraction(1, 3))
     rng = random.Random(16)
     for _ in range(10**4):
         sample_category(w, rng)
-    nodes = len(w.q.trie) + sum(len(cuts.trie) for cuts in w.share.values())
-    assert 0 < nodes <= 300
+    gc.collect()
+    tables = w.cuts.tables
+    assert 1 < len(tables) <= 1 + 2 * n
+    assert not any(gc.is_tracked(table) for table in tables.values())
 
 
 def test_sample_category_scripted():
     w = category_weights(2, HALF)
-    # q: one 1 bit lands in category 2; r: a 0 bit picks positive
-    q, r = sample_category(w, ScriptedBits([(1, 1), (1, 0)]))
-    assert (q, r) == (2, 1)
-    # q: two 0 bits land in the both-ways category; no r draw
-    q, r = sample_category(w, ScriptedBits([(1, 0), (1, 0)]))
-    assert (q, r) == (0, None)
+    # the cells 2/7, 0, 0, 5/14, 5/14 span bytes 0..72, none, none,
+    # 74..163 and 165..255; bytes 73 and 164 hold a cut
+    assert sample_category(w, ScriptedBits([(8, 0)])) == (0, None)
+    assert sample_category(w, ScriptedBits([(8, 100)])) == (2, 1)
+    assert sample_category(w, ScriptedBits([(8, 200)])) == (2, 0)
 
 
 def test_sample_category_never_draws_zero_weight():
@@ -249,7 +313,7 @@ def test_generate_deterministic_sequence():
     assert first == second
 
 
-# (n, p, seed, draws, SHA-256 of the stream) of stream version 4. The
+# (n, p, seed, draws, SHA-256 of the stream) of stream version 5. The
 # seed -> output mapping is stable API: these digests may change only with
 # a deliberate, recorded break of the stream, which bumps STREAM_VERSION.
 # The cases cover the constants at q = n (n = 1, 2), the direct draw of
@@ -258,22 +322,21 @@ def test_generate_deterministic_sequence():
 # p = 1/3: 85 kbit), a dyadic bias whose fills stop on remainder 0
 # (n = 6, p = 3/4), and at n = 5 a bias just below 1/2 with a long
 # non-dyadic expansion (0.0 then 33 ones: it departs from 1/2 = 0.0111...
-# at digit 35), whose fills compare with p digit after digit. The n = 1
-# and n = 2 digests are those of version 2: their free side has at most
-# one variable, so the order the deposit gives the free variables does
-# not show.
+# at digit 35), whose fills compare with p digit after digit. Version 5
+# draws every category and weight group a byte at a time, so every digest
+# changed.
 GOLDEN_STREAMS = [
-    (1, Fraction(1, 2), 1, 1000, "b9f2e8a6e3524ce418b38dd2c835b3c7ebcd42beb2b7b20e9ce5680c278e2237"),
-    (2, Fraction(1, 2), 2, 1000, "f82199979739f7bfe3d99bff842b66053d287a54373807a909513378bcec0fd8"),
-    (3, Fraction(1, 2), 3, 1000, "6eb8cb690825363fc209e4e7c06e01e58f9929dfcfa89df2dc2a20288bdddba5"),
-    (4, Fraction(1, 3), 31337, 1000, "ff2e64c64338da263f2539b32464465445ed7e4cfe70380de3bb0b2ba4f715b5"),
-    (8, Fraction(1, 3), 8, 200, "2bd68e2038b2d101ea745fced97ee620dc6440e2b49586211fc39a4c92fc6773"),
-    (14, Fraction(1, 3), 14, 6, "fa58cb7ebff99cfd573cb58139531e7ee2827903b97ab9be139218d853f0ab77"),
-    (12, Fraction(2, 3), 12, 6, "04f14944794e91db0ba3202746e114dec5a38d1d68cb0ede2867bdfb3ce17d30"),
-    (5, Fraction(6103515625, 12207031251), 5, 300, "ef35a6a899e460b018e4d67ff4176907f7f37cb8ae3fef61f4cd233f6da62b64"),
-    (6, Fraction(3, 4), 6, 300, "1b1291db06c594e5bc657bd518df1fa7b48a7b5363a0a61a45ec992af2d8646e"),
-    (10, Fraction(1, 2), 10, 30, "3589b78e0dffb14b40d8d21773534f29e82d45f64e8945229bbd47f0896de3ec"),
-    (16, Fraction(1, 3), 16, 20, "854c32aeb9b37d493473518376fdceecb21185ace61de3a6ece41adf4d2a780d"),
+    (1, Fraction(1, 2), 1, 1000, "4a01c9068c320f6ae5cb13aed072559a84d3e4a00da500060f9fad410797f620"),
+    (2, Fraction(1, 2), 2, 1000, "c5c848488b4eaa7b3b97c610d388ba439398e6628b9254662a425f9ecd4edca9"),
+    (3, Fraction(1, 2), 3, 1000, "21fbe239c812019ad6eb1e29575d8a3e488e9c33fb76582853d31fcd6d6dd015"),
+    (4, Fraction(1, 3), 31337, 1000, "910d0297b5fbb4ed5f6ce70e8ee73a3d373a2c937239b343cf2cabb02bc5f1da"),
+    (8, Fraction(1, 3), 8, 200, "41f3fa3c444f61afdb83d08543cd03adf4376e6283fabee15e79635df69e82e0"),
+    (14, Fraction(1, 3), 14, 6, "f44e3c960be44664a4900091520bff7b15c36d4c9b58883e3e6ddefca9f605ee"),
+    (12, Fraction(2, 3), 12, 6, "3f3ad972089ff08fcc289893d67f6b0ffcc7d928464131620c5c66d8d0f5414f"),
+    (5, Fraction(6103515625, 12207031251), 5, 300, "5f05428ae70c04a62f007d1f3fd49c232985a787764e2fe0647febbf7b294538"),
+    (6, Fraction(3, 4), 6, 300, "735879035c3c6404fca890f033f014bcbf80c3f73fa0a551a908a9bd669b2b5b"),
+    (10, Fraction(1, 2), 10, 30, "d09d3afa7880a76020a1620f227358395ac3f8e63f7d054ea53acc1c7d4bd996"),
+    (16, Fraction(1, 3), 16, 20, "80e10bca190b03ed0a199428d73d406b0014b178d782a2b8354102fdd514f6c9"),
 ]
 
 
@@ -518,13 +581,13 @@ def test_mean_rejections_bounded(n):
 
 
 def test_rejection_limit_exceeded():
-    # n = 5, p = 1/2: category bits 0, 1 land in q = 1, whose m = 4 free
-    # variables are rejection-sampled, and direction bit 0 picks r = 1.
+    # n = 5, p = 1/2: category byte 64 lands in the cell of q = 1 and
+    # r = 1, bytes 1..125, whose m = 4 free variables are rejection-sampled.
     # Each attempt then takes the variable-set rank, the forcing value and
     # one fill round of 16 coins, all 0 as the complement of 0xFFFF; an
     # all-zeros fill makes h all zeros, which q = 1 rejects
     attempt = [(3, 0), (1, 0), (16, 0xFFFF)]
-    script = [(1, 0), (1, 1), (1, 0)] + attempt * 5
+    script = [(8, 64)] + attempt * 5
     config = GeneratorConfig(n=5, p=HALF, seed=0, max_rejections=5)
     with pytest.raises(RejectionLimitExceeded) as info:
         generate(config, ScriptedBits(script))

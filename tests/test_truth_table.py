@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -301,3 +304,15 @@ def test_evaluate_bounds():
     t = TruthTable(2, OR2)
     with pytest.raises(IndexError):
         t.evaluate(4)
+
+
+def test_table_is_a_frozen_slotted_value():
+    table, same = TruthTable(3, X0_OR_X1X2), TruthTable(3, X0_OR_X1X2)
+    with pytest.raises(FrozenInstanceError):
+        table.bits = 0
+    assert not hasattr(table, "__dict__")
+    assert table == same and table is not same and hash(table) == hash(same)
+    assert len({table, same, TruthTable(4, X0_OR_X1X2), TruthTable(3, OR2)}) == 3
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(table, protocol)) == table
+    assert copy.deepcopy(table) == table
