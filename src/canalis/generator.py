@@ -212,14 +212,17 @@ class _Cuts:
         nothing), and the children above the last of them lie under the
         first cut at or past the interval's high end.
 
-        The full division is rarely needed. With x and d the cut and D less
-        their low s > 0 bits, N_j 2^k / D lies strictly between
-        x 2^k / (d + 1) and (x + 1) 2^k / d, and strictly between 256 numer
-        and 256 numer + 256. Its floor w therefore lies between the floor of
-        the larger lower bound and that of the smaller upper bound; where
-        the two agree, that is w, and rem is not 0. Keeping 64 bits of D
-        more than k, they differ only for a cut within about 2^-62 of an
-        edge between two children."""
+        Each full division takes time linear in the length of D: at
+        n = 16, p = 1/1000 they cost about 5 ms per table. With x and d
+        the cut and D less their low s bits, N_j 2^k / D lies strictly
+        between x 2^k / (d + 1) and (x + 1) 2^k / d, and strictly between
+        256 numer and 256 numer + 256. Its floor w therefore lies between
+        the floor of the larger lower bound and that of the smaller upper
+        bound; where the two agree, that is w, and rem is not 0. Keeping 64
+        bits of D more than k, they differ only for a cut within about
+        2^-62 of an edge between two children, or where D is short enough
+        for the division to be cheap. The node's own edges count too: at
+        n = 16, p = 1/3, 30 of the 33 category cuts lie that close to 1."""
         numerators, denom = self.numerators, self.denom
         bits = node.bit_length() - 1
         numer = node ^ (1 << bits)
@@ -233,10 +236,8 @@ class _Cuts:
         for idx in inside:
             cut = numerators[idx]
             x = cut >> s
-            w = max((x << shift) // (d + 1), first)
-            if s and w == min(((x + 1) << shift) // d, first + 255):
-                rem = 1
-            else:
+            w, rem = max((x << shift) // (d + 1), first), 1
+            if w != min(((x + 1) << shift) // d, first + 255):
                 w, rem = divmod(cut << shift, denom)
             v = w - first
             entries += [idx] * (v - len(entries))
@@ -521,7 +522,9 @@ def generate(
             if rejections >= config.max_rejections:
                 raise RejectionLimitExceeded(q, r, rejections)
     table = TruthTable(n, _deposit(g, n, subset, s_bits, r))
-    # a loop, not a comprehension, which costs a function call per draw
+    # a loop, not a comprehension: before Python 3.12 (PEP 709) each
+    # comprehension is a function call, about 0.3 us of a 2.6 us draw at
+    # n = 3 on 3.11
     values = {}
     for i in subset:
         values[i] = s_bits & 1

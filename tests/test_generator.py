@@ -174,6 +174,43 @@ def test_sample_index_skips_empty_category():
     assert cuts.tables[256 | 85] == (0,) * 86 + (1,) * 170
 
 
+def _expand_split_nodes(scaled, max_bits):
+    """Expand the root of a fresh cut set and every split node below it
+    down to depth ``max_bits``, checking each table against 256 answers of
+    the plain interval test."""
+    cuts = _Cuts(*scaled)
+    nodes = [1]
+    while nodes:
+        node = nodes.pop()
+        table = cuts._expand(node)
+        assert table == tuple(naive_ref.resolve(scaled, (node << 8) | v) for v in range(256))
+        if node.bit_length() <= max_bits:
+            nodes += [(node << 8) | v for v, idx in enumerate(table) if idx < 0]
+    return cuts.tables
+
+
+def test_wide_denominator_cuts_on_and_beside_child_edges():
+    # a 333-bit D, 269 bits more than a root child's depth and 64, so each
+    # cut is placed from its leading bits: a cut on the edge of bytes 76
+    # and 77 and one on that of children 12 and 13 of byte 200 split
+    # nothing, though their floor bounds disagree
+    denom = 3**200 << 16
+    e8, e16 = 77 * denom >> 8, (200 << 8 | 13) * denom >> 16
+    tables = _expand_split_nodes(((e8, e16, denom), denom), 33)
+    assert tables[1] == (0,) * 77 + (1,) * 123 + (-1,) + (2,) * 55
+    assert tables[256 | 200] == (1,) * 13 + (2,) * 243
+    assert len(tables) == 2
+    # flanked by cuts one unit of 1/D away, within 2^-300 of the edges:
+    # those split the children on either side, down to depth 40
+    scaled = ((e8 - 1, e8, e8 + 1, e16 - 1, e16, e16 + 1, denom), denom)
+    tables = _expand_split_nodes(scaled, 33)
+    assert tables[1][76] == tables[1][77] == tables[1][200] == -1
+    assert tables[256 | 76][255] == tables[256 | 77][0] == -1
+    assert tables[256 | 200][12] == tables[256 | 200][13] == -1
+    # the root, bytes 76, 77 and 200, then four split nodes per depth
+    assert len(tables) == 1 + 3 + 4 * 4
+
+
 def test_sample_index_degenerate_no_bits():
     # single category taking all mass resolves without consuming bits
     for scaled, idx in ((((1,), 1), 0), (((0, 5), 5), 1), (((0, 0, 3, 3), 3), 2)):
