@@ -27,6 +27,17 @@ weights (number of routes) * p_r^w * (1 - p_r)^(2^m - w), then one route
 of the group uniformly: one uniform integer split into the variable-set
 rank, the fill and the forcing values.
 
+At n <= DIRECT_MAX_M + 1 = 4 every category is direct, and each category
+(q, r) keeps a route table: the outcome of every route (table, variable
+set, forcing values) in route order, built on the category's first draw
+by the same unranking that draws at n >= 5 run per draw. A draw then
+indexes the table with its group and route, and copies only the forcing
+values into its record. The tables do not depend on p, so one module-level
+cache serves every bias; they hold count_canalizing(n) - 2n routes in all,
+3506 at n = 4 (about 1.3 MB), and are never written once built, so threads
+share them safely. The 2n both-ways tables are cached the same way at
+every n.
+
 Constants need one more care point: the constant function belongs to the
 exactly-n classes but would be reachable through every choice of forcing
 values, overweighting it by 2^n. A constant result is therefore accepted
@@ -425,6 +436,26 @@ def _deposit(g: int, n: int, subset: tuple[int, ...], s_bits: int, r: int) -> in
     return x
 
 
+def _unrank(
+    n: int, r: int, subsets: tuple, fills: tuple[int, ...], route: int
+) -> tuple[TruthTable, tuple[int, ...], dict[int, int]]:
+    """The outcome ``(table, subset, values)`` of route ``route`` of a
+    direct weight group with the fills ``fills``: its remainders by
+    C(n, q) and by the group size are the variable-set rank and the fill,
+    its quotient the forcing values."""
+    route, rank = divmod(route, len(subsets))
+    s_bits, at = divmod(route, len(fills))
+    subset = subsets[rank]
+    table = TruthTable(n, _deposit(fills[at], n, subset, s_bits, r))
+    # a loop, not a comprehension: before Python 3.12 (PEP 709) each
+    # comprehension is a function call, paid once per draw at n >= 5
+    values = {}
+    for i in subset:
+        values[i] = s_bits & 1
+        s_bits >>= 1
+    return table, subset, values
+
+
 @lru_cache(maxsize=None)
 def _accepted_fills(m: int, lone: bool) -> tuple[tuple[int, bool, tuple[int, ...]], ...]:
     """The fills h of the m-cube that the accept test takes in direction
@@ -442,29 +473,62 @@ def _accepted_fills(m: int, lone: bool) -> tuple[tuple[int, bool, tuple[int, ...
     return tuple((w, pinned, tuple(fills)) for (w, pinned), fills in sorted(groups.items()))
 
 
+def _route_groups(m: int, q: int, r: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The accepted weight groups of category (q, r) with m free
+    variables in draw order, as ``(w, free, fills)``: the weight w in
+    r-space, the number of free forcing bits of each route (q, or 0 for
+    the constant), and the fills as tables g."""
+    flip = 0 if r == 1 else (1 << (1 << m)) - 1
+    return [
+        (w, 0 if pinned else q, tuple(h ^ flip for h in fills))
+        for w, pinned, fills in _accepted_fills(m, q == 1)
+    ]
+
+
 def _direct_table(weights: CategoryWeights, q: int, r: int) -> tuple[tuple, _Cuts]:
     """The direct draw of category (q, r) with m = n - q <= DIRECT_MAX_M
     free variables, stored on ``weights``: ``(groups, cuts)``.
 
-    ``groups[j]`` is ``(free, fills)``, the fills of one accepted weight
-    group as tables g in draw order, and the number of free forcing bits
-    of each of its routes (q, or 0 for the constant). A group of weight w
-    in r-space holds len(fills) * 2^free routes per variable set, each of
-    bias-p weight p_r^w * (1 - p_r)^(2^m - w); the cut points ``cuts`` are
-    the running sums of those counts times that weight's integer numerator
-    over b^(2^m), for p_r = a_r / b."""
+    ``groups[j]`` is ``(free, fills)`` of the j-th group of
+    ``_route_groups``. A group of weight w in r-space holds
+    len(fills) * 2^free routes per variable set, each of bias-p weight
+    p_r^w * (1 - p_r)^(2^m - w); the cut points ``cuts`` are the running
+    sums of those counts times that weight's integer numerator over
+    b^(2^m), for p_r = a_r / b."""
     m = weights.n - q
     size = 1 << m
     powers = _BiasPowers(m, weights.p if r == 1 else 1 - weights.p)
-    flip = 0 if r == 1 else (1 << size) - 1
     groups, cuts, total = [], [], 0
-    for w, pinned, fills in _accepted_fills(m, q == 1):
-        free = 0 if pinned else q
+    for w, free, fills in _route_groups(m, q, r):
         total += (len(fills) << free) * powers.term(w, size - w)
         cuts.append(total)
-        groups.append((free, tuple(h ^ flip for h in fills)))
+        groups.append((free, fills))
     table = weights.direct[q, r] = (tuple(groups), _Cuts(tuple(cuts), total))
     return table
+
+
+@lru_cache(maxsize=None)
+def _route_outcomes(n: int, q: int, r: int) -> tuple[tuple[tuple, ...], ...]:
+    """The outcomes of the direct category (q, r) at n <= DIRECT_MAX_M + 1:
+    ``outcomes[j][route]`` is ``_unrank``'s ``(table, subset, values)``
+    for every route of the j-th weight group, in route order. They do not
+    depend on p, so every bias and thread shares one copy; a draw hands
+    out a copy of ``values``, the rest is immutable."""
+    subsets = _subsets(n, q)
+    return tuple(
+        tuple(
+            _unrank(n, r, subsets, fills, route)
+            for route in range(len(subsets) * len(fills) << free)
+        )
+        for _, free, fills in _route_groups(n - q, q, r)
+    )
+
+
+@lru_cache(maxsize=None)
+def _both_ways_tables(n: int) -> tuple[tuple[TruthTable, TruthTable], ...]:
+    """The 2n both-ways tables, ``tables[i][s]`` the one whose output is 1
+    exactly where x_i = s."""
+    return tuple(tuple(TruthTable(n, variable_mask(n, i, s)) for s in (0, 1)) for i in range(n))
 
 
 def generate(
@@ -493,38 +557,39 @@ def generate(
     if q == 0:
         i = _uniform_below(rng, n)
         s = rng.getrandbits(1)
-        return TruthTable(n, variable_mask(n, i, s)), DrawRecord(0, None, (i,), {i: s}, 0)
+        return _both_ways_tables(n)[i][s], DrawRecord(0, None, (i,), {i: s}, 0)
 
     m = n - q
     subsets = _subsets(n, q)
-    rejections = 0
     if m <= DIRECT_MAX_M:
         groups, cuts = weights.direct.get((q, r)) or _direct_table(weights, q, r)
-        free, fills = groups[cuts.draw(rng)]
+        group = cuts.draw(rng)
+        free, fills = groups[group]
         route = _uniform_below(rng, len(subsets) * len(fills) << free)
-        route, rank = divmod(route, len(subsets))
-        s_bits, at = divmod(route, len(fills))
-        subset, g = subsets[rank], fills[at]
-    else:
-        numer, denom = config.p.numerator, config.p.denominator
-        while True:
-            # a fresh (subset, values, fill) triple every attempt: rejection
-            # then renormalizes over the whole category at once, which is
-            # what makes the conditional law exact (per-route refilling
-            # would skew the exactly-n classes, where the constant breaks
-            # route symmetry)
-            subset = subsets[_uniform_below(rng, len(subsets))]
-            s_bits = rng.getrandbits(q)
-            g = _fill(rng, numer, denom, 1 << m)
-            if _accepts(g, r, m, q, s_bits):
-                break
-            rejections += 1
-            if rejections >= config.max_rejections:
-                raise RejectionLimitExceeded(q, r, rejections)
+        if n <= DIRECT_MAX_M + 1:
+            table, subset, values = _route_outcomes(n, q, r)[group][route]
+            return table, DrawRecord(q, r, subset, values.copy(), 0)
+        table, subset, values = _unrank(n, r, subsets, fills, route)
+        return table, DrawRecord(q, r, subset, values, 0)
+
+    numer, denom = config.p.numerator, config.p.denominator
+    rejections = 0
+    while True:
+        # a fresh (subset, values, fill) triple every attempt: rejection
+        # then renormalizes over the whole category at once, which is
+        # what makes the conditional law exact (per-route refilling
+        # would skew the exactly-n classes, where the constant breaks
+        # route symmetry)
+        subset = subsets[_uniform_below(rng, len(subsets))]
+        s_bits = rng.getrandbits(q)
+        g = _fill(rng, numer, denom, 1 << m)
+        if _accepts(g, r, m, q, s_bits):
+            break
+        rejections += 1
+        if rejections >= config.max_rejections:
+            raise RejectionLimitExceeded(q, r, rejections)
     table = TruthTable(n, _deposit(g, n, subset, s_bits, r))
-    # a loop, not a comprehension: before Python 3.12 (PEP 709) each
-    # comprehension is a function call, about 0.3 us of a 2.6 us draw at
-    # n = 3 on 3.11
+    # the same loop as in _unrank, inline: a call would add per-draw work
     values = {}
     for i in subset:
         values[i] = s_bits & 1

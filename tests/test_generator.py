@@ -1,6 +1,8 @@
 import gc
 import hashlib
 import random
+import sys
+import threading
 from itertools import combinations, pairwise
 from math import comb
 from collections import Counter
@@ -17,6 +19,7 @@ from canalis import (
     TruthTable,
     category_weights,
     classify,
+    count_canalizing,
     generate,
     generator,
     is_canalizing,
@@ -31,10 +34,12 @@ from canalis.generator import (
     DIRECT_MAX_M,
     _accepted_fills,
     _accepts,
+    _both_ways_tables,
     _deposit,
     _Cuts,
     _direct_table,
     _fill,
+    _route_outcomes,
 )
 from sampler_checks import (
     canalizing_law,
@@ -719,17 +724,125 @@ def test_shared_weights_give_each_stream_its_own_draws(n, p):
 
 
 def test_category_weights_build_no_direct_tables():
-    # the direct tables are built on a category's first draw, never by
-    # category_weights, and the wide draws at n = 14 never reach one
+    # the direct tables and route tables are built on a category's first
+    # draw, never by category_weights, and the wide draws at n = 14 never
+    # reach one
     _accepted_fills.cache_clear()
+    _route_outcomes.cache_clear()
     for n, p in ((16, Fraction(1, 3)), (14, HALF)):
         assert category_weights(n, p).direct == {}
     assert _accepted_fills.cache_info().currsize == 0
+    assert _route_outcomes.cache_info().currsize == 0
     for p in (HALF, Fraction(1, 3)):
         gen = CanalizingGenerator(GeneratorConfig(n=14, p=p, seed=14))
         assert all(record.q < 14 - DIRECT_MAX_M for _, record in gen.draws(30))
         assert gen.weights.direct == {}
     assert _accepted_fills.cache_info().currsize == 0
+    assert _route_outcomes.cache_info().currsize == 0
+
+
+def _route_entries(n):
+    """Every entry of the route tables at n as ``(q, r, group, route,
+    outcome)``, over every direct category (q, r)."""
+    for q in range(1, n + 1):
+        for r in (0, 1):
+            for j, outcomes in enumerate(_route_outcomes(n, q, r)):
+                for route, outcome in enumerate(outcomes):
+                    yield q, r, j, route, outcome
+
+
+@pytest.mark.parametrize("n", range(1, DIRECT_MAX_M + 2))
+def test_route_tables_cover_the_class_exactly_once(n):
+    # the route tables of every direct category and the 2n both-ways
+    # tables hold each canalizing function once, each with a record that
+    # its classification confirms
+    records = [
+        (table, generator.DrawRecord(q, r, subset, values, 0))
+        for q, r, _, _, (table, subset, values) in _route_entries(n)
+    ]
+    assert len(records) == count_canalizing(n) - 2 * n
+    for i, pair in enumerate(_both_ways_tables(n)):
+        records += [(table, generator.DrawRecord(0, None, (i,), {i: s}, 0)) for s, table in enumerate(pair)]
+    assert len({table.bits for table, _ in records}) == len(records) == count_canalizing(n)
+    assert all(table.n == n and record_consistent(table, record) for table, record in records)
+
+
+@pytest.mark.parametrize("n", range(1, DIRECT_MAX_M + 2))
+def test_route_tables_equal_unranked_deposits(n):
+    # entry (q, r, group, route) is the route's unranking, as the module
+    # docstring states it, deposited by _deposit and by the naive walk;
+    # each group holds C(n, q) * (fills in the group) * 2^free routes
+    for q in range(1, n + 1):
+        subsets = list(combinations(range(n), q))
+        for r in (0, 1):
+            groups, _ = _direct_table(category_weights(n, HALF), q, r)
+            outcomes = _route_outcomes(n, q, r)
+            assert len(outcomes) == len(groups)
+            for (free, fills), group in zip(groups, outcomes):
+                assert len(group) == len(subsets) * len(fills) << free
+                for route, (table, subset, values) in enumerate(group):
+                    rest, rank = divmod(route, len(subsets))
+                    s_bits, at = divmod(rest, len(fills))
+                    case = (n, q, r, route)
+                    assert subset == subsets[rank], case
+                    assert values == {i: (s_bits >> j) & 1 for j, i in enumerate(subset)}, case
+                    assert table.bits == _deposit(fills[at], n, subset, s_bits, r), case
+                    walk = naive_ref.deposit_walk(n, r, subset, s_bits, fills[at])
+                    assert table.bits == sum(b << e for e, b in enumerate(walk)), case
+
+
+def test_drawn_values_do_not_alias_the_route_tables():
+    # a record's values may be changed by its owner: a later draw of the
+    # same route still reports the route's own forcing values
+    config = GeneratorConfig(n=3, p=HALF, seed=9)
+    expected = [dict(record.values) for _, record in CanalizingGenerator(config).draws(300)]
+    tables = set()
+    for (table, record), values in zip(CanalizingGenerator(config).draws(300), expected):
+        assert record.values == values
+        record.values[record.subset[0]] ^= 1
+        tables.add(table.bits)
+    # 300 draws over 120 functions repeat routes
+    assert len(tables) < 300
+
+
+def test_route_tables_are_shared_across_biases():
+    # the outcomes do not depend on p: draws at two biases read one cached
+    # route table per category and hand out the same table objects
+    _route_outcomes.cache_clear()
+    seen = {}
+    for p in (HALF, Fraction(1, 3)):
+        gen = CanalizingGenerator(GeneratorConfig(n=3, p=p, seed=3))
+        for table, _ in gen.draws(400):
+            assert seen.setdefault(table.bits, table) is table
+        # the six direct categories at n = 3, built by the first bias alone
+        assert _route_outcomes.cache_info().misses == 6
+
+
+def test_threads_building_route_tables_draw_their_own_streams():
+    # four threads at n = 4 start on empty route and both-ways caches and
+    # switch every microsecond, so they build and read the tables at once:
+    # each still draws exactly what its stream draws alone
+    configs = [GeneratorConfig(n=4, p=p, seed=seed) for seed, p in enumerate((HALF, Fraction(1, 3)) * 2)]
+    alone = [list(CanalizingGenerator(config).draws(300)) for config in configs]
+    _route_outcomes.cache_clear()
+    _both_ways_tables.cache_clear()
+    results = [None] * len(configs)
+
+    def run(j):
+        results[j] = list(CanalizingGenerator(configs[j]).draws(300))
+
+    threads = [threading.Thread(target=run, args=(j,)) for j in range(len(configs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == alone
 
 
 def test_config_validation():
